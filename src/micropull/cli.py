@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Sequence, TextIO
 
@@ -148,20 +149,34 @@ def _parse_modulus(text: str | None, expect_pair: bool) -> tuple[float, ...] | N
         raise _UsageError("--E must be a 'low,high' GPa pair for band sweeps")
     if not expect_pair and len(values) != 1:
         raise _UsageError("--E takes a single GPa value for this command")
-    if any(v <= 0 for v in values):
-        raise _UsageError("--E values must be positive")
+    if not all(math.isfinite(v) and v > 0 for v in values):
+        raise _UsageError("--E values must be positive and finite")
+    if expect_pair and values[0] == values[1]:
+        raise _UsageError("--E band ends must differ")
     return values
+
+
+def _check_sweep_range(args) -> None:
+    if not (math.isfinite(args.vmax) and args.vmax > 0.0):
+        raise _UsageError(f"--vmax must be positive and finite, got {args.vmax!r}")
+    if args.steps < 2:
+        raise _UsageError(f"--steps must be at least 2, got {args.steps}")
 
 
 def _solver_config(args) -> SolverConfig:
     kind = electro.PARALLEL_PLATE if args.load == "plate" else electro.FIELD_2D
-    return SolverConfig(
-        structural_mode=args.model,
-        load_model=electro.LoadModelConfig(
-            kind=kind, fringing_coefficient=args.fringing
-        ),
-        coupling_mode=args.coupling,
-    )
+    if args.dump_field and kind != electro.FIELD_2D:
+        raise _UsageError("--dump-field requires --load field2d")
+    try:
+        return SolverConfig(
+            structural_mode=args.model,
+            load_model=electro.LoadModelConfig(
+                kind=kind, fringing_coefficient=args.fringing
+            ),
+            coupling_mode=args.coupling,
+        )
+    except ValueError as exc:
+        raise _UsageError(f"invalid model options: {exc}") from exc
 
 
 def _open_out(args):
@@ -318,11 +333,7 @@ def _cmd_analytic(args) -> int:
 
 
 def _maybe_dump_field(args, spec, cfg: SolverConfig, voltage: float | None) -> None:
-    if not getattr(args, "dump_field", None):
-        return
-    if cfg.load_model.kind != electro.FIELD_2D:
-        raise _UsageError("--dump-field requires --load field2d")
-    if voltage is None:
+    if not args.dump_field or voltage is None:
         return
     eq = solve_equilibrium(spec, voltage, cfg)
     solution = electro.solve_field2d(spec, eq.deflection, voltage, cfg.load_model)
@@ -339,6 +350,7 @@ def _cmd_sweep(args) -> int:
     if modulus:
         spec = spec.with_young_modulus(modulus[0])
     cfg = _solver_config(args)
+    _check_sweep_range(args)
     result = voltage_sweep(spec, args.vmax, args.steps, cfg)
     _emit(args, lambda sink: emit_sweep_csv(result, sink), lambda: _sweep_json_obj(result))
     converged = result.converged_points()
@@ -385,6 +397,7 @@ def _cmd_band(args) -> int:
     moduli = _parse_modulus(args.modulus, expect_pair=True) or (150e9, 166e9)
     e_low, e_high = sorted(moduli)
     cfg = _solver_config(args)
+    _check_sweep_range(args)
     low, high = modulus_band_sweep(spec, e_low, e_high, args.vmax, args.steps, cfg)
 
     def csv_writer(sink: TextIO) -> None:

@@ -9,9 +9,12 @@ Two routes from applied voltage to a structural line load:
   line load extracted from the normal-field trace on the beam face via the
   electrostatic surface pressure eps0 E_n^2 / 2.
 
-The field mesh is regenerated from scratch for every call (transfinite
-interpolation between the deformed beam face and the fixed counter-electrode
-face), so repeated coupled iterations cannot accumulate mesh distortion.
+The field-mesh geometry is rebuilt on every call (transfinite interpolation
+between the deformed beam face and the fixed counter-electrode face), so
+repeated coupled iterations cannot accumulate mesh distortion.  What depends
+only on the mesh size (nx, ny, n_beam) is cached once per size: the triangle
+topology, the Dirichlet split and the sparsity pattern of the reduced
+matrix, with a map that scatters the element entries straight into it.
 Linear triangles on the structured grid keep the discrete operator monotone,
 which preserves the maximum principle for the potential.
 """
@@ -171,13 +174,33 @@ def plate_load_derivative(
     return dq_dv
 
 
-@lru_cache(maxsize=8)
-def _grid_topology(nx: int, ny: int):
-    """Triangle connectivity and boundary node ids of an (nx x ny)-cell grid.
+@dataclass(frozen=True)
+class _FieldPattern:
+    """Index maps of the field system on an (nx x ny)-cell grid whose first
+    n_beam + 1 bottom nodes form the beam face.
 
     Node id = column * (ny + 1) + row; each cell is split along its
-    up-right diagonal into two right-ish triangles.
+    up-right diagonal into two right-ish triangles.  Element entry e of the
+    flattened (n_tri, 3, 3) element matrices couples node
+    ``tri[e // 9, e % 9 // 3]`` (row) to node ``tri[e // 9, e % 3]`` (column).
+    The unknowns are the free nodes in increasing id order.
     """
+
+    tri: np.ndarray  # (n_tri, 3) node ids
+    free: np.ndarray  # node id of each unknown
+    kff_slot: np.ndarray  # per entry: its slot in K_ff's CSC data, nnz if outside K_ff
+    kff_indices: np.ndarray  # K_ff CSC row indices
+    kff_indptr: np.ndarray  # K_ff CSC column pointers
+    rhs_entries: np.ndarray  # entries coupling a free row to a beam-face column
+    rhs_rows: np.ndarray  # their unknown index
+    beam_entries: np.ndarray  # entries in a beam-face row
+    beam_cols: np.ndarray  # their column node id
+    top_entries: np.ndarray  # entries in a counter-electrode row
+    top_cols: np.ndarray  # their column node id
+
+
+@lru_cache(maxsize=8)
+def _field_pattern(nx: int, ny: int, n_beam: int) -> _FieldPattern:
     cols, rows = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
     n00 = (cols * (ny + 1) + rows).ravel()
     n01 = n00 + 1
@@ -186,12 +209,48 @@ def _grid_topology(nx: int, ny: int):
     tri = np.concatenate(
         [np.stack([n00, n10, n11], axis=1), np.stack([n00, n11, n01], axis=1)]
     ).astype(np.int64)
-    bottom = np.arange(nx + 1) * (ny + 1)
-    top = bottom + ny
-    tri.setflags(write=False)
-    bottom.setflags(write=False)
-    top.setflags(write=False)
-    return tri, bottom, top
+
+    on_beam = np.zeros((nx + 1, ny + 1), dtype=bool)
+    on_beam[: n_beam + 1, 0] = True
+    on_beam = on_beam.ravel()
+    on_top = np.zeros((nx + 1, ny + 1), dtype=bool)
+    on_top[:, ny] = True
+    on_top = on_top.ravel()
+    free = np.flatnonzero(~(on_beam | on_top))
+    n_free = free.size
+    unknown = np.full(on_beam.size, -1, dtype=np.int64)
+    unknown[free] = np.arange(n_free)
+
+    row = np.repeat(tri, 3, axis=1).ravel()
+    col = np.tile(tri, (1, 3)).ravel()
+    ur, uc = unknown[row], unknown[col]
+    in_kff = (ur >= 0) & (uc >= 0)
+    # sorting by (column, row) gives CSC order with duplicates merged
+    keys, slot = np.unique(uc[in_kff] * n_free + ur[in_kff], return_inverse=True)
+    kff_slot = np.full(row.size, keys.size, dtype=np.int64)
+    kff_slot[in_kff] = slot
+    indptr = np.zeros(n_free + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys // n_free, minlength=n_free), out=indptr[1:])
+
+    rhs_entries = np.flatnonzero((ur >= 0) & on_beam[col])
+    beam_entries = np.flatnonzero(on_beam[row])
+    top_entries = np.flatnonzero(on_top[row])
+    pattern = _FieldPattern(
+        tri=tri,
+        free=free,
+        kff_slot=kff_slot,
+        kff_indices=(keys % n_free).astype(np.intc),
+        kff_indptr=indptr.astype(np.intc),
+        rhs_entries=rhs_entries,
+        rhs_rows=ur[rhs_entries],
+        beam_entries=beam_entries,
+        beam_cols=col[beam_entries],
+        top_entries=top_entries,
+        top_cols=col[top_entries],
+    )
+    for arr in vars(pattern).values():
+        arr.setflags(write=False)
+    return pattern
 
 
 def solve_field2d(
@@ -238,45 +297,52 @@ def solve_field2d(
     frac = np.linspace(0.0, 1.0, ny + 1)
     y = y_low[:, None] + (g - y_low)[:, None] * frac[None, :]
 
-    tri, bottom, top = _grid_topology(nx, ny)
+    pat = _field_pattern(nx, ny, n_beam)
     nodes_x = np.repeat(x, ny + 1)
     nodes_y = y.ravel()
 
-    px = nodes_x[tri]
-    py = nodes_y[tri]
+    px = nodes_x[pat.tri]
+    py = nodes_y[pat.tri]
     b = py[:, [1, 2, 0]] - py[:, [2, 0, 1]]
     c = px[:, [2, 0, 1]] - px[:, [1, 2, 0]]
     area2 = px[:, 0] * b[:, 0] + px[:, 1] * b[:, 1] + px[:, 2] * b[:, 2]
     k_el = (
         np.einsum("ti,tj->tij", b, b) + np.einsum("ti,tj->tij", c, c)
     ) / (2.0 * area2)[:, None, None]
+    k_entries = k_el.ravel()
 
-    n_nodes = (nx + 1) * (ny + 1)
-    rows = np.repeat(tri, 3, axis=1).ravel()
-    cols = np.tile(tri, (1, 3)).ravel()
-    k = sp.coo_matrix((k_el.ravel(), (rows, cols)), shape=(n_nodes, n_nodes)).tocsr()
+    # K_ff straight from the element entries; entries outside K_ff land in
+    # the extra last bin and are dropped
+    n_free = pat.free.size
+    nnz = pat.kff_indices.size
+    k_ff = sp.csc_matrix(
+        (
+            np.bincount(pat.kff_slot, weights=k_entries, minlength=nnz + 1)[:nnz],
+            pat.kff_indices,
+            pat.kff_indptr,
+        ),
+        shape=(n_free, n_free),
+    )
+    # only the beam face carries a non-zero Dirichlet value
+    rhs = -voltage * np.bincount(
+        pat.rhs_rows, weights=k_entries[pat.rhs_entries], minlength=n_free
+    )
 
-    beam_face = bottom[: n_beam + 1]
-    phi = np.zeros(n_nodes)
-    phi[beam_face] = voltage
+    phi_grid = np.zeros((nx + 1, ny + 1))
+    phi_grid[: n_beam + 1, 0] = voltage
+    phi = phi_grid.ravel()  # a view, in node-id order
+    # K_ff is symmetric: a symmetric minimum-degree ordering keeps the fill low
+    phi[pat.free] = spla.spsolve(k_ff, rhs, permc_spec="MMD_AT_PLUS_A")
 
-    dirichlet = np.zeros(n_nodes, dtype=bool)
-    dirichlet[beam_face] = True
-    dirichlet[top] = True
-    free = ~dirichlet
-
-    rhs = -k[:, dirichlet] @ phi[dirichlet]
-    k_ff = k[free][:, free].tocsc()
-    phi[free] = spla.spsolve(k_ff, rhs[free])
-
-    # consistent nodal fluxes: K phi at a Dirichlet node integrates
+    # consistent nodal fluxes: (K phi) at a Dirichlet node integrates
     # d(phi)/dn over that node's share of the electrode boundary; summed
     # they balance between the electrodes exactly
-    reaction = k @ phi
-    beam_charge = VACUUM_PERMITTIVITY * float(np.sum(reaction[bottom[: n_beam + 1]]))
-    counter_charge = VACUUM_PERMITTIVITY * float(np.sum(reaction[top]))
-
-    phi_grid = phi.reshape(nx + 1, ny + 1)
+    beam_charge = VACUUM_PERMITTIVITY * float(
+        k_entries[pat.beam_entries] @ phi[pat.beam_cols]
+    )
+    counter_charge = VACUUM_PERMITTIVITY * float(
+        k_entries[pat.top_entries] @ phi[pat.top_cols]
+    )
 
     # normal-field trace: potential drop over a fixed fraction of the local
     # gap, interpolated along each column (exact for a gap-wise linear field)

@@ -8,7 +8,8 @@ import sys
 import pytest
 
 from micropull import SweepPoint, SweepResult
-from micropull.cli import emit_sweep_csv, run
+from micropull import cli
+from micropull.cli import EXIT_USAGE, emit_sweep_csv, run
 from micropull.coupled import PullInResult
 
 
@@ -210,6 +211,36 @@ class TestExitCodes:
     def test_bad_arguments_usage_error(self, capsys):
         code, _ = run_cli(capsys, "sweep", "--id", "ST1-1")  # missing --vmax
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("pullin", "--fringing", "-1"),
+            ("pullin", "--load", "field2d", "--coupling", "monolithic"),
+            ("sweep", "--vmax", "nan"),
+            ("sweep", "--vmax", "inf"),
+            ("sweep", "--vmax", "-5"),
+            ("sweep", "--vmax", "50", "--steps", "1"),
+            ("band", "--vmax", "50", "--E", "150,150"),
+            ("band", "--vmax", "50", "--E", "nan,150"),
+            ("band", "--vmax", "50", "--steps", "0"),
+            ("sweep", "--vmax", "50", "--dump-field", "unused.csv"),
+        ],
+    )
+    def test_invalid_values_are_usage_errors(self, capsys, monkeypatch, argv):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve started before the arguments were checked")
+
+        for name in ("find_pull_in", "voltage_sweep", "modulus_band_sweep"):
+            monkeypatch.setattr(cli, name, no_solve)
+        command, *rest = argv
+        defaults = [] if "--load" in rest else ["--load", "plate"]
+        code = run([command, "--id", "ST1-6", *defaults, *rest])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("micropull: error: ")
 
     def test_no_pull_in_is_exit_3(self, capsys, tmp_path):
         stiff = tmp_path / "stiff.json"

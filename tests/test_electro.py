@@ -4,6 +4,8 @@ import io
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from micropull import (
     GapClosureError,
@@ -13,7 +15,12 @@ from micropull import (
     plate_load,
     solve_field2d,
 )
-from micropull.electro import dump_field_csv, integrated_face_force, plate_load_derivative
+from micropull.electro import (
+    _field_pattern,
+    dump_field_csv,
+    integrated_face_force,
+    plate_load_derivative,
+)
 
 
 class TestLoadModelConfig:
@@ -156,6 +163,111 @@ class TestField2D:
         spike = lambda x: 1.2 * s.gap_g * (x / s.length_l) ** 8
         with pytest.raises(GapClosureError):
             solve_field2d(s, spike, self.V, LoadModelConfig())
+
+
+def reference_field(fs, n_beam: int, cfg: LoadModelConfig):
+    """Reference solve on the grid of ``fs``: global COO assembly, submatrix
+    slicing, the default-ordering sparse solve and charges from K phi.
+
+    Returns (potential, face_field, beam_charge, counter_charge).
+    """
+    x, y, voltage = fs.grid_x, fs.grid_y, fs.voltage
+    nx, ny = x.size - 1, y.shape[1] - 1
+    n_nodes = (nx + 1) * (ny + 1)
+    cols, rows = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
+    n00 = (cols * (ny + 1) + rows).ravel()
+    n10 = n00 + (ny + 1)
+    tri = np.concatenate(
+        [np.stack([n00, n10, n10 + 1], axis=1), np.stack([n00, n10 + 1, n00 + 1], axis=1)]
+    )
+    px = np.repeat(x, ny + 1)[tri]
+    py = y.ravel()[tri]
+    b = py[:, [1, 2, 0]] - py[:, [2, 0, 1]]
+    c = px[:, [2, 0, 1]] - px[:, [1, 2, 0]]
+    area2 = np.sum(px * b, axis=1)
+    k_el = (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]) / (
+        2.0 * area2
+    )[:, None, None]
+    k = sp.coo_matrix(
+        (k_el.ravel(), (np.repeat(tri, 3, axis=1).ravel(), np.tile(tri, (1, 3)).ravel())),
+        shape=(n_nodes, n_nodes),
+    ).tocsr()
+
+    bottom = np.arange(nx + 1) * (ny + 1)
+    beam_face, top = bottom[: n_beam + 1], bottom + ny
+    phi = np.zeros(n_nodes)
+    phi[beam_face] = voltage
+    dirichlet = np.zeros(n_nodes, dtype=bool)
+    dirichlet[beam_face] = True
+    dirichlet[top] = True
+    free = ~dirichlet
+    rhs = -k[:, dirichlet] @ phi[dirichlet]
+    phi[free] = spla.spsolve(k[free][:, free].tocsc(), rhs[free])
+    reaction = k @ phi
+
+    grid = phi.reshape(nx + 1, ny + 1)
+    pos = cfg.face_probe_fraction * ny
+    j0 = min(int(pos), ny - 1)
+    probe = (1.0 - (pos - j0)) * grid[: n_beam + 1, j0] + (pos - j0) * grid[: n_beam + 1, j0 + 1]
+    local_gap = y[: n_beam + 1, -1] - y[: n_beam + 1, 0]
+    face_field = (voltage - probe) / (cfg.face_probe_fraction * local_gap)
+    return (
+        grid,
+        face_field,
+        VACUUM_PERMITTIVITY * reaction[beam_face].sum(),
+        VACUUM_PERMITTIVITY * reaction[top].sum(),
+    )
+
+
+def assert_matches_reference(fs, cfg: LoadModelConfig, rel=1e-12):
+    n_beam = cfg.cells_along_beam
+    potential, face_field, beam_q, counter_q = reference_field(fs, n_beam, cfg)
+    assert fs.potential.shape == potential.shape
+    assert np.max(np.abs(fs.potential - potential)) <= rel * abs(fs.voltage)
+    assert np.max(np.abs(fs.face_field - face_field)) <= rel * np.max(np.abs(face_field))
+    assert fs.beam_charge_per_depth == pytest.approx(beam_q, rel=rel)
+    assert fs.counter_charge_per_depth == pytest.approx(counter_q, rel=rel)
+
+
+class TestField2DAgainstReference:
+    """The cached scatter assembly against the global-matrix reference solve."""
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            LoadModelConfig(),
+            LoadModelConfig(cells_across_gap=13, cells_along_beam=57),
+            LoadModelConfig(tip_extension_gaps=0.0),
+        ],
+        ids=["default", "non-default-mesh", "no-extension"],
+    )
+    @pytest.mark.parametrize("bend", [0.0, 0.3, 0.9], ids=["flat", "bent", "near-gap"])
+    def test_matches_reference(self, st1_1_measured, cfg, bend):
+        s = st1_1_measured
+        shape = lambda x: bend * s.gap_g * (x / s.length_l) ** 2
+        fs = solve_field2d(s, shape, 83.0, cfg)
+        if cfg.tip_extension_gaps == 0.0:
+            assert fs.grid_x.size == cfg.cells_along_beam + 1
+        assert_matches_reference(fs, cfg)
+
+    def test_same_columns_different_beam_face(self, st1_1_measured):
+        s = st1_1_measured
+        first = LoadModelConfig()
+        fs_first = solve_field2d(s, None, 50.0, first)
+        nx = fs_first.grid_x.size - 1
+        # fewer beam columns, more extension columns, the same nx
+        n_beam = first.cells_along_beam - 10
+        gaps = (nx - n_beam - 0.5) * (s.length_l / n_beam) / s.gap_g
+        second = LoadModelConfig(cells_along_beam=n_beam, tip_extension_gaps=gaps)
+        fs_second = solve_field2d(s, None, 50.0, second)
+        assert fs_second.grid_x.size - 1 == nx
+        assert_matches_reference(fs_second, second)
+        assert_matches_reference(fs_first, first)
+        ny = first.cells_across_gap
+        a = _field_pattern(nx, ny, first.cells_along_beam)
+        b = _field_pattern(nx, ny, n_beam)
+        assert a is not b
+        assert b.free.size == a.free.size + 10
 
 
 class TestMaxwellLoad:
