@@ -82,7 +82,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--E", dest="modulus", metavar="GPA[,GPA]",
                        help="override Young's modulus; a pair selects a band")
         p.add_argument("--dump-field", dest="dump_field", metavar="PATH",
-                       help="write the final potential grid as CSV (field2d only)")
+                       help="write the final potential grid as CSV "
+                            "(sweep and pullin, field2d only)")
 
     p = sub.add_parser("catalog", help="list specimens")
     p.add_argument("--file", help="specimen file instead of the built-in catalog")
@@ -393,6 +394,8 @@ def _cmd_pullin(args) -> int:
 
 
 def _cmd_band(args) -> int:
+    if args.dump_field:
+        raise _UsageError("--dump-field is not supported by band")
     spec = _select(args)
     moduli = _parse_modulus(args.modulus, expect_pair=True) or (150e9, 166e9)
     e_low, e_high = sorted(moduli)

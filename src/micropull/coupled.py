@@ -3,8 +3,10 @@
 Two coupling modes solve the same discrete problem:
 
 * staggered: alternate an electrostatic load evaluation on the current
-  deflection with a structural solve under that frozen load, optionally
-  under-relaxed, until the tip displacement settles;
+  deflection with a structural solve under that frozen load, until the tip
+  displacement settles.  Each update is scaled by an Aitken dynamic
+  relaxation factor (Irons & Tuck 1969; Kuettler & Wall 2008) that starts
+  at, and never falls below, ``SolverConfig.relaxation``;
 * monolithic (parallel-plate load only): Newton iteration on the combined
   structure/electrostatics residual, with the analytic load-softening term
   d q / d v in the Jacobian.
@@ -51,7 +53,7 @@ class SolverConfig:
     coupling_mode: str = STAGGERED
     coupling_tolerance: float = 1e-6  # relative tip-displacement change
     max_coupling_iterations: int = 100
-    relaxation: float = 1.0  # auto-halved on oscillation
+    relaxation: float = 1.0  # Aitken's starting and minimum factor
     pull_in_bracket_tolerance: float = 0.1  # volts
     n_elements: int = 40
     voltage_cap: float = 10_000.0  # pull-in search gives up above this
@@ -205,7 +207,7 @@ class _Runner:
         omega = cfg.relaxation
         tip_floor = 1e-12 * self.spec.gap_g
         tip_prev = fld.tip
-        recent_deltas: list[float] = []
+        r_prev: np.ndarray | None = None
 
         for it in range(1, cfg.max_coupling_iterations + 1):
             try:
@@ -215,25 +217,25 @@ class _Runner:
                 return EquilibriumResult(fld, False, it, voltage, "gap closure")
             except ConvergenceError:
                 return EquilibriumResult(fld, False, it, voltage, "structural divergence")
+            # Aitken dynamic relaxation on the transverse residual, floored
+            # at cfg.relaxation: the plain map climbs monotonically to the
+            # stable branch, so Aitken may extrapolate but never damp
+            r = solved.deflection - fld.deflection
+            if r_prev is not None:
+                dr = r - r_prev
+                dr_sq = float(dr @ dr)
+                if dr_sq > 0.0:
+                    omega = max(cfg.relaxation, -omega * float(r_prev @ dr) / dr_sq)
+            r_prev = r
             relaxed = beam.make_field(
                 self.mesh,
-                fld.deflection + omega * (solved.deflection - fld.deflection),
+                fld.deflection + omega * r,
                 fld.rotation + omega * (solved.rotation - fld.rotation),
                 fld.axial + omega * (solved.axial - fld.axial),
             )
             tip_new = relaxed.tip
-            delta = tip_new - tip_prev
-            if abs(delta) <= cfg.coupling_tolerance * max(abs(tip_new), tip_floor):
+            if abs(tip_new - tip_prev) <= cfg.coupling_tolerance * max(abs(tip_new), tip_floor):
                 return EquilibriumResult(relaxed, True, it, voltage)
-            # the staggered map loses contractivity near pull-in; damp on
-            # three consecutive sign alternations of the tip update
-            recent_deltas.append(delta)
-            if len(recent_deltas) >= 3 and (
-                recent_deltas[-1] * recent_deltas[-2] < 0.0
-                and recent_deltas[-2] * recent_deltas[-3] < 0.0
-            ):
-                omega = 0.5 * omega
-                recent_deltas.clear()
             fld = relaxed
             tip_prev = tip_new
         return EquilibriumResult(

@@ -69,8 +69,8 @@ class LoadModelConfig:
     def __post_init__(self) -> None:
         if self.kind not in _LOAD_KINDS:
             raise ValueError(f"kind must be one of {_LOAD_KINDS} (got {self.kind!r})")
-        if self.fringing_coefficient < 0.0:
-            raise ValueError("fringing_coefficient must be non-negative")
+        if not 0.0 <= self.fringing_coefficient < np.inf:
+            raise ValueError("fringing_coefficient must be finite and non-negative")
         if self.cells_across_gap < 8:
             raise ValueError("cells_across_gap must be at least 8")
         if self.cells_along_beam < 40:

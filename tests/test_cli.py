@@ -1,11 +1,15 @@
 """Command-line interface: output contracts, exit codes, determinism."""
 
+import contextlib
 import io
 import json
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from micropull import SweepPoint, SweepResult
 from micropull import cli
@@ -225,6 +229,8 @@ class TestExitCodes:
             ("band", "--vmax", "50", "--E", "nan,150"),
             ("band", "--vmax", "50", "--steps", "0"),
             ("sweep", "--vmax", "50", "--dump-field", "unused.csv"),
+            ("band", "--load", "field2d", "--vmax", "50", "--dump-field", "unused.csv"),
+            ("pullin", "--fringing", "nan"),
         ],
     )
     def test_invalid_values_are_usage_errors(self, capsys, monkeypatch, argv):
@@ -254,6 +260,84 @@ class TestExitCodes:
             capsys, "pullin", "--file", str(stiff), "--id", "stiff", "--load", "plate",
         )
         assert code == 3
+
+
+_GOOD = {
+    "--vmax": st.floats(min_value=1e-3, max_value=1e4).map(repr),
+    "--steps": st.integers(min_value=2, max_value=50).map(str),
+    "--fringing": st.floats(min_value=0.0, max_value=10.0).map(repr),
+    "--E": st.floats(min_value=1.0, max_value=1e3).map(repr),
+    "--E pair": st.lists(
+        st.floats(min_value=1.0, max_value=1e3), min_size=2, max_size=2, unique=True,
+    ).map(lambda pair: ",".join(map(repr, pair))),
+}
+_NOT_NUMBERS = st.sampled_from(["", "x", "1,,2", "0x10"])
+_NON_FINITE = st.sampled_from(["nan", "inf", "-inf", "1e400"])
+_BAD = {
+    "--vmax": st.floats(max_value=0.0).map(repr) | _NON_FINITE | _NOT_NUMBERS,
+    "--steps": st.integers(max_value=1).map(str) | st.sampled_from(["2.5", "1e3"])
+    | _NOT_NUMBERS,
+    "--fringing": st.floats(max_value=-1e-300).map(repr) | _NON_FINITE | _NOT_NUMBERS,
+    "--E": st.floats(max_value=0.0).map(repr) | _NON_FINITE | _NOT_NUMBERS
+    | st.sampled_from(["150,166"]),
+    "--E pair": st.sampled_from(
+        ["150", "150,150", "nan,166", "0,166", "-150,166", "150,inf", "150,166,170", ","]
+    ) | _NOT_NUMBERS,
+}
+
+
+@st.composite
+def _refused_invocation(draw):
+    """A sweep, pullin or band command line with at least one invalid value."""
+    command = draw(st.sampled_from(["sweep", "pullin", "band"]))
+    argv = [command, "--id", "ST1-6", "--dims", "measured",
+            "--load", draw(st.sampled_from(["plate", "field2d"]))]
+    options = ["--vmax", "--steps", "--fringing", "--E"]
+    invalid = draw(st.sampled_from(options))
+    for option in options:
+        key = "--E pair" if option == "--E" and command == "band" else option
+        if option == invalid:
+            value = draw(_BAD[key])
+        elif draw(st.booleans()):
+            value = draw(_GOOD[key])
+        else:
+            continue
+        argv.append(f"{option}={value}")
+    return argv
+
+
+@st.composite
+def _closed_form_invocation(draw):
+    """An analytic or ratios command line, with a valid or invalid --E."""
+    command = draw(st.sampled_from(["analytic", "ratios"]))
+    argv = [command, "--id", draw(st.sampled_from(["ST1-1", "ST1-6", "ST1-8"])),
+            "--dims", draw(st.sampled_from(["nominal", "measured"]))]
+    if draw(st.booleans()):
+        argv.append("--E=" + draw(_GOOD["--E"] | _BAD["--E"]))
+    return argv
+
+
+class TestExitCodeProperty:
+    """No drawn command line escapes the documented exit codes."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(argv=st.one_of(_refused_invocation(), _closed_form_invocation()))
+    def test_exit_code_documented_and_no_traceback(self, argv):
+        def no_solve(*args, **kwargs):
+            raise AssertionError(f"{argv} started a solve")
+
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.ExitStack() as stack:
+            for name in ("find_pull_in", "voltage_sweep", "modulus_band_sweep",
+                         "solve_equilibrium"):
+                stack.enter_context(mock.patch.object(cli, name, no_solve))
+            stack.enter_context(contextlib.redirect_stdout(out))
+            stack.enter_context(contextlib.redirect_stderr(err))
+            code = run(argv)
+        assert code in (0, 2, 3, 4)
+        if argv[0] in ("sweep", "pullin", "band"):
+            assert code == EXIT_USAGE
+        assert "Traceback" not in err.getvalue()
 
 
 class TestFileSelector:

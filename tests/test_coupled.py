@@ -231,3 +231,70 @@ class TestModulusBand:
     def test_validation(self, st1_1_measured):
         with pytest.raises(ValueError, match="moduli"):
             modulus_band_sweep(st1_1_measured, 166e9, 150e9, 100.0, 5, PLATE)
+
+
+@pytest.fixture(scope="module")
+def plate_brackets(st1_1_measured):
+    """Plate-load pull-ins of measured ST1-1 by (structural mode, coupling, budget)."""
+    out = {}
+    for mode in ("linear", "nonlinear"):
+        for coupling, budget in (("staggered", 100), ("staggered", 1000), ("monolithic", 100)):
+            cfg = SolverConfig(
+                structural_mode=mode,
+                load_model=LoadModelConfig(kind="parallel_plate"),
+                coupling_mode=coupling,
+                max_coupling_iterations=budget,
+            )
+            out[mode, coupling, budget] = find_pull_in(st1_1_measured, cfg)
+    return out
+
+
+class TestAitkenRelaxation:
+    """The staggered loop's Aitken relaxation makes pull-in a model property."""
+
+    @pytest.mark.parametrize("mode", ["linear", "nonlinear"])
+    def test_plate_bracket_independent_of_budget(self, plate_brackets, mode):
+        default = plate_brackets[mode, "staggered", 100]
+        generous = plate_brackets[mode, "staggered", 1000]
+        assert (default.bracket_low, default.bracket_high) == (
+            generous.bracket_low, generous.bracket_high,
+        )
+
+    @pytest.mark.parametrize("mode", ["linear", "nonlinear"])
+    def test_staggered_agrees_with_monolithic(self, plate_brackets, mode):
+        stag = plate_brackets[mode, "staggered", 100]
+        mono = plate_brackets[mode, "monolithic", 100]
+        tol = SolverConfig().pull_in_bracket_tolerance
+        assert abs(stag.bracket_low - mono.bracket_low) <= tol
+        assert abs(stag.bracket_high - mono.bracket_high) <= tol
+
+    def test_field2d_bracket_independent_of_budget(self, st1_1_measured):
+        default = find_pull_in(st1_1_measured, SolverConfig())
+        generous = find_pull_in(st1_1_measured, SolverConfig(max_coupling_iterations=1000))
+        assert (default.bracket_low, default.bracket_high) == (
+            generous.bracket_low, generous.bracket_high,
+        )
+
+    def test_near_pull_in_iteration_count(self, st1_1_measured):
+        # the plain staggered map took 87 iterations here
+        res = solve_equilibrium(st1_1_measured, 186.6, SolverConfig())
+        assert res.converged
+        assert res.iterations <= 25
+
+    @pytest.mark.parametrize("cfg, voltage", [
+        (SolverConfig(), 186.6),
+        (PLATE, 179.1),
+        (SolverConfig(structural_mode="linear",
+                      load_model=LoadModelConfig(kind="parallel_plate")), 179.1),
+    ])
+    def test_converged_state_is_a_fixed_point(self, st1_1_measured, cfg, voltage):
+        # an extrapolated step must not stop short: one more plain
+        # load-and-solve pass barely moves the converged tip
+        runner = _Runner(st1_1_measured, cfg)
+        res = runner.equilibrium(voltage)
+        assert res.converged
+        again = runner._structural_solve(
+            runner._load_for(res.deflection, voltage), res.deflection
+        )
+        tip = res.deflection.tip
+        assert abs(again.tip - tip) <= 5.0 * cfg.coupling_tolerance * tip

@@ -33,6 +33,8 @@ class TestLoadModelConfig:
     @pytest.mark.parametrize("kwargs", [
         {"kind": "magnetostatic"},
         {"fringing_coefficient": -0.1},
+        {"fringing_coefficient": float("nan")},
+        {"fringing_coefficient": float("inf")},
         {"cells_across_gap": 7},
         {"cells_along_beam": 39},
         {"tip_extension_gaps": -1.0},
