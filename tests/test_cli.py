@@ -138,6 +138,17 @@ class TestSweepCommand:
         assert last.startswith("# pull_in_V=")
         assert 150.0 < float(last.split("=")[1]) < 200.0
 
+    def test_failed_point_tip_inside_gap(self, capsys, st1_1_measured):
+        # the failed 200 V row once printed 11.0956 um for a 5 um gap
+        code, out = run_cli(
+            capsys, "sweep", "--id", "ST1-1", "--dims", "measured",
+            "--load", "plate", "--vmax", "200", "--steps", "5",
+        )
+        assert code == 0
+        voltage, tip_um, converged, _ = out.strip().split("\n")[-2].split(",")
+        assert (voltage, converged) == ("200.0", "false")
+        assert 0.0 <= float(tip_um) < st1_1_measured.gap_g * 1e6
+
     def test_json_mirrors_csv(self, capsys):
         code, out = run_cli(
             capsys, "sweep", "--id", "ST1-1", "--dims", "measured",

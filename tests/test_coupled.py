@@ -20,12 +20,14 @@ from micropull import (
     solve_nonlinear,
     voltage_sweep,
 )
+from micropull import electro
 from micropull.coupled import _Runner
 
 PLATE = SolverConfig(load_model=LoadModelConfig(kind="parallel_plate"))
 PLATE_F0 = SolverConfig(
     load_model=LoadModelConfig(kind="parallel_plate", fringing_coefficient=0.0)
 )
+FIELD2D_1V = SolverConfig(pull_in_bracket_tolerance=1.0)
 
 
 class TestConfig:
@@ -105,6 +107,8 @@ class TestEquilibrium:
         assert not res.converged
         assert res.failure_reason in ("gap closure", "max coupling iterations",
                                       "structural divergence")
+        # the reported state is short of the counter-electrode
+        assert 0.0 <= res.deflection.tip < st1_1_measured.gap_g
 
 
 class TestSweep:
@@ -143,6 +147,13 @@ class TestSweep:
         assert sweep.pull_in is not None
         assert converged[-1].voltage <= sweep.pull_in.bracket_low
 
+    @pytest.mark.parametrize("cfg", [PLATE, SolverConfig()])
+    def test_failed_point_tip_inside_gap(self, st1_1_measured, cfg):
+        sweep = voltage_sweep(st1_1_measured, 200.0, 5, cfg)
+        last = sweep.points[-1]
+        assert not last.converged
+        assert 0.0 <= last.tip_displacement < st1_1_measured.gap_g
+
     def test_validation(self, st1_1_measured):
         with pytest.raises(ValueError, match="v_max"):
             voltage_sweep(st1_1_measured, 0.0, 5, PLATE)
@@ -165,6 +176,24 @@ def plate_pull_in(st1_1_measured):
     return find_pull_in(st1_1_measured, PLATE)
 
 
+@pytest.fixture(scope="module")
+def field2d_pull_ins(st1_1_measured, st1_6_measured):
+    """Field2d pull-ins at a 1 V bracket, with the field solves each took."""
+    out = {}
+    for spec in (st1_1_measured, st1_6_measured):
+        calls = []
+        solve = electro.solve_field2d
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return solve(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(electro, "solve_field2d", counting)
+            out[spec.id] = find_pull_in(spec, FIELD2D_1V), len(calls)
+    return out
+
+
 class TestPullIn:
     def test_bracket_width(self, plate_pull_in):
         r = plate_pull_in
@@ -172,11 +201,16 @@ class TestPullIn:
         assert r.bracket_low < r.pull_in_voltage < r.bracket_high
         assert r.method == "fem"
 
-    def test_bracket_replays_deterministically(self, st1_1_measured, plate_pull_in):
-        low = solve_equilibrium(st1_1_measured, plate_pull_in.bracket_low, PLATE)
-        high = solve_equilibrium(st1_1_measured, plate_pull_in.bracket_high, PLATE)
-        assert low.converged
-        assert not high.converged
+    def test_bracket_replays_deterministically(
+        self, st1_1_measured, plate_pull_in, field2d_pull_ins
+    ):
+        # the search starts its probes warm; a cold solve gives the same verdicts
+        field2d, _ = field2d_pull_ins["ST1-1"]
+        for cfg, r in ((PLATE, plate_pull_in), (FIELD2D_1V, field2d)):
+            low = solve_equilibrium(st1_1_measured, r.bracket_low, cfg)
+            high = solve_equilibrium(st1_1_measured, r.bracket_high, cfg)
+            assert low.converged
+            assert not high.converged
 
     def test_against_dense_voltage_scan(self, st1_1_measured, plate_pull_in):
         # brute-force the transition at 0.05 V resolution around the bracket
@@ -298,3 +332,63 @@ class TestAitkenRelaxation:
         )
         tip = res.deflection.tip
         assert abs(again.tip - tip) <= 5.0 * cfg.coupling_tolerance * tip
+
+
+def cold_pull_in(spec, cfg):
+    """The pull-in search with every probe solved from the undeformed beam."""
+    runner = _Runner(spec, cfg)
+    probe = max(osterberg_pull_in(spec).voltage / 4.0, 1.0)
+    lo, hi = 0.0, None
+    if runner.equilibrium(probe).converged:
+        lo = v = probe
+        while hi is None:
+            v = 2.0 * v
+            if runner.equilibrium(v).converged:
+                lo = v
+            else:
+                hi = v
+    else:
+        hi = v = probe
+        while lo == 0.0:
+            v = 0.5 * v
+            if runner.equilibrium(v).converged:
+                lo = v
+            else:
+                hi = v
+    while hi - lo > cfg.pull_in_bracket_tolerance:
+        mid = 0.5 * (lo + hi)
+        if runner.equilibrium(mid).converged:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+class TestContinuation:
+    """Pull-in probes start from the last converged state."""
+
+    @pytest.mark.parametrize("sid", ["ST1-1", "ST1-6"])
+    def test_field_solves_per_search(self, field2d_pull_ins, sid):
+        # cold probes took 114 (ST1-1) and 103 (ST1-6) field solves
+        _, n_solves = field2d_pull_ins[sid]
+        assert n_solves <= 85
+
+    def test_field2d_bracket_equals_cold_search(self, st1_1_measured, field2d_pull_ins):
+        r, _ = field2d_pull_ins["ST1-1"]
+        assert (r.bracket_low, r.bracket_high) == cold_pull_in(st1_1_measured, FIELD2D_1V)
+
+    @pytest.mark.parametrize("mode, coupling", [
+        ("nonlinear", "staggered"),
+        ("nonlinear", "monolithic"),
+        ("linear", "staggered"),
+    ])
+    def test_plate_bracket_equals_cold_search(
+        self, st1_1_measured, plate_brackets, mode, coupling
+    ):
+        cfg = SolverConfig(
+            structural_mode=mode,
+            load_model=LoadModelConfig(kind="parallel_plate"),
+            coupling_mode=coupling,
+        )
+        r = plate_brackets[mode, coupling, cfg.max_coupling_iterations]
+        assert (r.bracket_low, r.bracket_high) == cold_pull_in(st1_1_measured, cfg)
