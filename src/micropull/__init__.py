@@ -14,7 +14,6 @@ from .beam import (
     build_mesh,
     solve_linear,
     solve_nonlinear,
-    tip_displacement,
 )
 from .catalog import (
     AspectRatios,
@@ -95,6 +94,5 @@ __all__ = [
     "solve_field2d",
     "solve_linear",
     "solve_nonlinear",
-    "tip_displacement",
     "voltage_sweep",
 ]

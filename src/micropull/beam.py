@@ -1,17 +1,24 @@
-"""Cantilever finite elements: small-displacement and corotational solvers.
+"""Cantilever finite elements on one (u, v, theta) DOF layout.
 
-The linear path uses classical two-node elements with cubic transverse
-interpolation (displacement + rotation per node), a consistent load
-vector integrated with 3-point Gauss quadrature per element, and a direct
-banded Cholesky solve.
+A structural state is one DOF vector holding, node by node, the axial
+displacement u, the transverse displacement v and the cross-section
+rotation theta; node 0 is clamped.  Transverse interpolation is cubic per
+two-node element, and consistent load vectors are integrated with 3-point
+Gauss quadrature per element.
 
-The large-rotation path wraps the same local bending behaviour in a
+The large-rotation model wraps the elements' local bending behaviour in a
 corotational frame per element: the element's rigid rotation is removed
 via its current chord, local deformations (elongation and two
 chord-relative end rotations) stay small, and the global residual is
-solved by full Newton iteration with automatic load incrementation.
-Axial degrees of freedom are carried because the rotating frame needs
-them; for a free-ended cantilever the axial strain stays near zero.
+solved by full Newton iteration with automatic load incrementation.  For a
+free-ended cantilever the axial strain stays near zero.
+
+The small-displacement model is the same element's tangent at rest: at
+d = 0 the corotational tangent K_t(0) is the classical Euler-Bernoulli
+element plus an EA/l axial chain, with no axial-transverse coupling
+(Crisfield, Non-linear Finite Element Analysis of Solids and Structures,
+vol. 1, 1991, ch. 7).  ``LinearBeamOperator`` factors it once by banded
+Cholesky; the axial DOFs of a linear solve stay exactly zero.
 
 Transverse loads are given per unit undeformed length and keep their
 direction (transverse to the undeformed axis) as the beam deforms.
@@ -20,8 +27,8 @@ direction (transverse to the undeformed axis) as the beam deforms.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded, solve_banded
@@ -93,17 +100,34 @@ def build_mesh(spec: Specimen, n_elements: int = 40) -> BeamMesh:
 class DeflectionField:
     """Nodal solution of a structural solve on a BeamMesh.
 
-    ``deflection`` and ``rotation`` are the transverse displacement and
-    cross-section rotation at the nodes; ``axial`` is the axial nodal
-    displacement (identically zero for linear solves).  The clamped end
-    satisfies v(0) = theta(0) = 0 exactly.
+    ``dofs`` is the read-only (u, v, theta) vector, node by node with the
+    clamped node first; ``axial``, ``deflection`` and ``rotation`` are
+    strided views of it.  The constructor copies ``dofs``.
     """
 
     mesh: BeamMesh
-    deflection: np.ndarray
-    rotation: np.ndarray
-    axial: np.ndarray
-    residual_history: tuple[float, ...] = field(default=(), compare=False)
+    dofs: np.ndarray
+
+    def __post_init__(self) -> None:
+        dofs = np.array(self.dofs, dtype=float)
+        if dofs.shape != (3 * self.mesh.n_nodes,):
+            raise ValueError(
+                f"dofs must have shape ({3 * self.mesh.n_nodes},), got {dofs.shape}"
+            )
+        dofs.setflags(write=False)
+        object.__setattr__(self, "dofs", dofs)
+
+    @property
+    def axial(self) -> np.ndarray:
+        return self.dofs[0::3]
+
+    @property
+    def deflection(self) -> np.ndarray:
+        return self.dofs[1::3]
+
+    @property
+    def rotation(self) -> np.ndarray:
+        return self.dofs[2::3]
 
     def evaluate(self, x) -> np.ndarray | float:
         """Transverse displacement v(x) by elementwise cubic interpolation."""
@@ -112,70 +136,19 @@ class DeflectionField:
         idx = np.clip((x_arr / length).astype(int), 0, self.mesh.n_elements - 1)
         xi = (x_arr - self.mesh.node_positions[idx]) / length
         n1, n2, n3, n4 = _hermite_basis(xi, length)
-        out = (
-            n1 * self.deflection[idx]
-            + n2 * self.rotation[idx]
-            + n3 * self.deflection[idx + 1]
-            + n4 * self.rotation[idx + 1]
-        )
+        v, theta = self.deflection, self.rotation
+        out = n1 * v[idx] + n2 * theta[idx] + n3 * v[idx + 1] + n4 * theta[idx + 1]
         return out if np.ndim(x) else float(out[0])
 
     @property
     def tip(self) -> float:
         """Transverse displacement at the free end."""
-        return float(self.deflection[-1])
-
-
-def tip_displacement(fld: DeflectionField) -> float:
-    """Transverse displacement at x = l."""
-    return fld.tip
+        return float(self.dofs[-2])
 
 
 def zero_field(mesh: BeamMesh) -> DeflectionField:
     """The undeformed configuration."""
-    z = np.zeros(mesh.n_nodes)
-    return _make_field(mesh, z, z.copy(), z.copy())
-
-
-def _make_field(mesh, v, theta, u, residuals: Sequence[float] = ()) -> DeflectionField:
-    for arr in (v, theta, u):
-        arr.setflags(write=False)
-    return DeflectionField(
-        mesh=mesh, deflection=v, rotation=theta, axial=u,
-        residual_history=tuple(residuals),
-    )
-
-
-def make_field(
-    mesh: BeamMesh,
-    deflection: np.ndarray,
-    rotation: np.ndarray,
-    axial: np.ndarray | None = None,
-    residuals: Sequence[float] = (),
-) -> DeflectionField:
-    """Package nodal arrays into an immutable DeflectionField."""
-    u = np.zeros(mesh.n_nodes) if axial is None else np.array(axial, dtype=float)
-    return _make_field(
-        mesh, np.array(deflection, dtype=float), np.array(rotation, dtype=float), u, residuals
-    )
-
-
-def dofs_from_field(fld: DeflectionField) -> np.ndarray:
-    """Interleave a field into the (u, v, theta) DOF vector."""
-    d = np.empty(3 * fld.mesh.n_nodes)
-    d[0::3] = fld.axial
-    d[1::3] = fld.deflection
-    d[2::3] = fld.rotation
-    return d
-
-
-def field_from_dofs(
-    mesh: BeamMesh, dofs: np.ndarray, residuals: Sequence[float] = ()
-) -> DeflectionField:
-    """Unpack a (u, v, theta) DOF vector into a DeflectionField."""
-    return _make_field(
-        mesh, dofs[1::3].copy(), dofs[2::3].copy(), dofs[0::3].copy(), residuals
-    )
+    return DeflectionField(mesh, np.zeros(3 * mesh.n_nodes))
 
 
 def _hermite_basis(xi: np.ndarray, length: float):
@@ -204,50 +177,43 @@ def gauss_load_values(mesh: BeamMesh, load: DistributedLoad) -> np.ndarray:
     return _evaluate_load(load, xg.ravel()).reshape(xg.shape)
 
 
-def transverse_basis_matrix(mesh: BeamMesh, dof_stride: int) -> np.ndarray:
+def transverse_basis_matrix(mesh: BeamMesh) -> np.ndarray:
     """Rows map a DOF vector to v at the quadrature points.
 
-    ``dof_stride`` is 2 for the (v, theta) layout and 3 for (u, v, theta);
-    shape (3 * n_elements, dof_stride * n_nodes).  Together with the Gauss
-    weights this expresses both consistent load vectors f = G^T (w q) and
+    Shape (3 * n_elements, 3 * n_nodes).  Together with the Gauss weights
+    this expresses both consistent load vectors f = G^T (w q) and
     load-stiffness matrices G^T diag(w q') G for deflection-dependent loads.
     """
-    length = mesh.element_length
-    n1, n2, n3, n4 = _hermite_basis(_GAUSS_XI, length)
-    g = np.zeros((3 * mesh.n_elements, dof_stride * mesh.n_nodes))
-    off = dof_stride - 2  # column of v within a node block
+    n1, n2, n3, n4 = _hermite_basis(_GAUSS_XI, mesh.element_length)
+    g = np.zeros((3 * mesh.n_elements, 3 * mesh.n_nodes))
     for e in range(mesh.n_elements):
         rows = slice(3 * e, 3 * e + 3)
-        base = dof_stride * e
-        g[rows, base + off] = n1
-        g[rows, base + off + 1] = n2
-        g[rows, base + dof_stride + off] = n3
-        g[rows, base + dof_stride + off + 1] = n4
+        g[rows, 3 * e + 1] = n1
+        g[rows, 3 * e + 2] = n2
+        g[rows, 3 * e + 4] = n3
+        g[rows, 3 * e + 5] = n4
     return g
 
 
 def consistent_load_vector(
     mesh: BeamMesh,
     load: DistributedLoad | None,
-    dof_stride: int,
     tip_force: float = 0.0,
     tip_moment: float = 0.0,
 ) -> np.ndarray:
     """Assemble the work-equivalent nodal force vector for a transverse load."""
-    f = np.zeros(dof_stride * mesh.n_nodes)
-    off = dof_stride - 2
+    f = np.zeros(3 * mesh.n_nodes)
     if load is not None:
         qg = gauss_load_values(mesh, load)  # (n_el, 3)
         wq = qg * mesh.gauss_weights()[None, :]
-        length = mesh.element_length
-        n1, n2, n3, n4 = _hermite_basis(_GAUSS_XI, length)
+        n1, n2, n3, n4 = _hermite_basis(_GAUSS_XI, mesh.element_length)
         fe = np.stack(
             [wq @ n1, wq @ n2, wq @ n3, wq @ n4], axis=1
         )  # (n_el, 4): (va, tha, vb, thb)
-        for k, col in enumerate((off, off + 1, dof_stride + off, dof_stride + off + 1)):
-            np.add.at(f, dof_stride * np.arange(mesh.n_elements) + col, fe[:, k])
-    f[dof_stride * mesh.n_elements + off] += tip_force
-    f[dof_stride * mesh.n_elements + off + 1] += tip_moment
+        for k, col in enumerate((1, 2, 4, 5)):
+            np.add.at(f, 3 * np.arange(mesh.n_elements) + col, fe[:, k])
+    f[-2] += tip_force
+    f[-1] += tip_moment
     return f
 
 
@@ -255,42 +221,31 @@ def consistent_load_vector(
 # small-displacement solve
 # ----------------------------------------------------------------------
 
-def linear_stiffness(mesh: BeamMesh) -> np.ndarray:
-    """Global stiffness, (v, theta) layout, clamped BC not yet applied."""
-    length = mesh.element_length
-    ei = mesh.bending_rigidity
-    l2 = length * length
-    ke = (ei / length**3) * np.array(
-        [
-            [12.0, 6.0 * length, -12.0, 6.0 * length],
-            [6.0 * length, 4.0 * l2, -6.0 * length, 2.0 * l2],
-            [-12.0, -6.0 * length, 12.0, -6.0 * length],
-            [6.0 * length, 2.0 * l2, -6.0 * length, 4.0 * l2],
-        ]
-    )
-    n_dof = 2 * mesh.n_nodes
-    k = np.zeros((n_dof, n_dof))
-    for e in range(mesh.n_elements):
-        sl = slice(2 * e, 2 * e + 4)
-        k[sl, sl] += ke
-    return k
-
-
-def _upper_banded(a: np.ndarray, bandwidth: int) -> np.ndarray:
+def _band_storage(a: np.ndarray, lower: int, upper: int) -> np.ndarray:
+    """LAPACK band storage of a square matrix: row ``upper - k`` holds diagonal k."""
     m = a.shape[0]
-    ab = np.zeros((bandwidth + 1, m))
-    for k in range(bandwidth + 1):
-        ab[bandwidth - k, k:] = np.diagonal(a, k)
+    ab = np.zeros((lower + upper + 1, m))
+    for k in range(-lower, upper + 1):
+        d = np.diagonal(a, k)
+        if k >= 0:
+            ab[upper - k, k:] = d
+        else:
+            ab[upper - k, : m + k] = d
     return ab
 
 
 class LinearBeamOperator:
-    """Factorized clamped-cantilever stiffness, reusable across load cases."""
+    """Factorized clamped-cantilever tangent at rest, reusable across load cases.
+
+    ``k0`` is K_t(0) from ``corotational_internal``, clamped node included;
+    the clamped-reduced part is factored once by banded Cholesky.
+    """
 
     def __init__(self, mesh: BeamMesh):
         self.mesh = mesh
-        k_red = linear_stiffness(mesh)[2:, 2:]
-        self._factor = cholesky_banded(_upper_banded(k_red, 3), lower=False)
+        _, self.k0, _ = corotational_internal(mesh, np.zeros(3 * mesh.n_nodes))
+        self.k0.setflags(write=False)
+        self._factor = cholesky_banded(_band_storage(self.k0[3:, 3:], 0, 5), lower=False)
 
     def solve(
         self,
@@ -298,18 +253,10 @@ class LinearBeamOperator:
         tip_force: float = 0.0,
         tip_moment: float = 0.0,
     ) -> DeflectionField:
-        f = consistent_load_vector(self.mesh, load, 2, tip_force, tip_moment)
-        return self.solve_vector(f)
-
-    def solve_vector(self, f_full: np.ndarray) -> DeflectionField:
-        """Solve for a pre-assembled (v, theta)-layout force vector."""
-        sol = cho_solve_banded((self._factor, False), f_full[2:])
-        n = self.mesh.n_nodes
-        v = np.zeros(n)
-        theta = np.zeros(n)
-        v[1:] = sol[0::2]
-        theta[1:] = sol[1::2]
-        return _make_field(self.mesh, v, theta, np.zeros(n))
+        f = consistent_load_vector(self.mesh, load, tip_force, tip_moment)
+        d = np.zeros_like(f)
+        d[3:] = cho_solve_banded((self._factor, False), f[3:])
+        return DeflectionField(self.mesh, d)
 
 
 def solve_linear(
@@ -407,21 +354,12 @@ def corotational_internal(mesh: BeamMesh, dofs: np.ndarray):
     return f_int, k, max_local
 
 
-def solve_clamped_banded(k_full: np.ndarray, rhs_full: np.ndarray, dof_stride: int) -> np.ndarray:
-    """Direct banded LU solve of the clamped-reduced system; returns full-layout DOFs."""
-    hbw = 2 * dof_stride - 1
-    k_red = k_full[dof_stride:, dof_stride:]
-    m = k_red.shape[0]
-    ab = np.zeros((2 * hbw + 1, m))
-    for k in range(-hbw, hbw + 1):
-        d = np.diagonal(k_red, k)
-        if k >= 0:
-            ab[hbw - k, k:] = d
-        else:
-            ab[hbw - k, : m + k] = d
-    sol = solve_banded((hbw, hbw), ab, rhs_full[dof_stride:])
+def solve_clamped_banded(k_full: np.ndarray, rhs_full: np.ndarray) -> np.ndarray:
+    """Direct banded LU solve of the clamped-reduced system; returns all DOFs."""
+    hbw = 5  # a node's three DOFs couple to the next node's three
+    sol = solve_banded((hbw, hbw), _band_storage(k_full[3:, 3:], hbw, hbw), rhs_full[3:])
     out = np.zeros_like(rhs_full)
-    out[dof_stride:] = sol
+    out[3:] = sol
     return out
 
 
@@ -482,7 +420,7 @@ def newton_solve(
         if it == max_iterations:
             return d, history, False
         try:
-            step = solve_clamped_banded(k_t, res, 3)
+            step = solve_clamped_banded(k_t, res)
         except np.linalg.LinAlgError:
             return d, history, False
         if not np.all(np.isfinite(step)):
@@ -515,7 +453,7 @@ def solve_nonlinear(
     ``max_increments``.  Raises ConvergenceError when even the finest
     incrementation fails.
     """
-    f_ext = consistent_load_vector(mesh, load, 3, tip_force, tip_moment)
+    f_ext = consistent_load_vector(mesh, load, tip_force, tip_moment)
     if np.linalg.norm(f_ext[3:]) == 0.0:
         return zero_field(mesh)
 
@@ -534,9 +472,7 @@ def solve_nonlinear(
         if ok:
             if n_inc > 1:
                 logger.debug("nonlinear solve needed %d load increments", n_inc)
-            return _make_field(
-                mesh, d[1::3].copy(), d[2::3].copy(), d[0::3].copy(), history
-            )
+            return DeflectionField(mesh, d)
         n_inc *= 2
     raise ConvergenceError(
         f"corotational solve did not converge with up to {max_increments} load increments",

@@ -33,6 +33,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property
 
 import numpy as np
 
@@ -151,25 +152,14 @@ class _Runner:
         self.spec = spec
         self.cfg = cfg
         self.mesh = beam.build_mesh(spec, cfg.n_elements)
-        self._linear_op: beam.LinearBeamOperator | None = None
-        self._basis: dict[int, np.ndarray] = {}
-        self._k_linear: np.ndarray | None = None
 
-    @property
+    @cached_property
     def linear_op(self) -> beam.LinearBeamOperator:
-        if self._linear_op is None:
-            self._linear_op = beam.LinearBeamOperator(self.mesh)
-        return self._linear_op
+        return beam.LinearBeamOperator(self.mesh)
 
-    def basis(self, stride: int) -> np.ndarray:
-        if stride not in self._basis:
-            self._basis[stride] = beam.transverse_basis_matrix(self.mesh, stride)
-        return self._basis[stride]
-
-    def k_linear(self) -> np.ndarray:
-        if self._k_linear is None:
-            self._k_linear = beam.linear_stiffness(self.mesh)
-        return self._k_linear
+    @cached_property
+    def load_basis(self) -> np.ndarray:
+        return beam.transverse_basis_matrix(self.mesh)
 
     # -- load construction -------------------------------------------------
 
@@ -202,10 +192,10 @@ class _Runner:
     ) -> beam.DeflectionField:
         if self.cfg.structural_mode == LINEAR:
             return self.linear_op.solve(load)
-        f_ext = beam.consistent_load_vector(self.mesh, load, 3)
-        d, hist, ok = beam.newton_solve(self.mesh, f_ext, start=beam.dofs_from_field(warm))
+        f_ext = beam.consistent_load_vector(self.mesh, load)
+        d, _, ok = beam.newton_solve(self.mesh, f_ext, start=warm.dofs)
         if ok:
-            return beam.field_from_dofs(self.mesh, d, hist)
+            return beam.DeflectionField(self.mesh, d)
         # warm start led Newton astray; retry with automatic load increments
         return beam.solve_nonlinear(self.mesh, load)
 
@@ -240,11 +230,8 @@ class _Runner:
                 if dr_sq > 0.0:
                     omega = max(cfg.relaxation, -omega * float(r_prev @ dr) / dr_sq)
             r_prev = r
-            relaxed = beam.make_field(
-                self.mesh,
-                fld.deflection + omega * r,
-                fld.rotation + omega * (solved.rotation - fld.rotation),
-                fld.axial + omega * (solved.axial - fld.axial),
+            relaxed = beam.DeflectionField(
+                self.mesh, fld.dofs + omega * (solved.dofs - fld.dofs)
             )
             tip_new = relaxed.tip
             if abs(tip_new - tip_prev) <= cfg.coupling_tolerance * max(abs(tip_new), tip_floor):
@@ -258,54 +245,36 @@ class _Runner:
     def _monolithic(
         self, voltage: float, start: beam.DeflectionField | None
     ) -> EquilibriumResult:
-        stride = 3 if self.cfg.structural_mode == NONLINEAR else 2
-        n_dof = stride * self.mesh.n_nodes
-        if start is not None and self.cfg.structural_mode == NONLINEAR:
-            d_start = beam.dofs_from_field(start)
-        elif start is not None:
-            d_start = np.empty(n_dof)
-            d_start[0::2] = start.deflection
-            d_start[1::2] = start.rotation
-        else:
-            d_start = np.zeros(n_dof)
-
+        fld = start if start is not None else beam.zero_field(self.mesh)
         total_iters = 0
         for substeps in (1, 2, 4, 8, 16, 32):
-            d = d_start.copy()
+            d = fld.dofs
             ok = True
             reason = None
             for k in range(1, substeps + 1):
-                d, iters, ok, reason = self._monolithic_newton(
-                    voltage * (k / substeps), d, stride
-                )
+                d, iters, ok, reason = self._monolithic_newton(voltage * (k / substeps), d)
                 total_iters += iters
                 if not ok:
                     break
             if ok:
-                fld = self._field_from_state(d, stride)
-                return EquilibriumResult(fld, True, total_iters, voltage)
+                return EquilibriumResult(
+                    beam.DeflectionField(self.mesh, d), True, total_iters, voltage
+                )
         return EquilibriumResult(
-            self._field_from_state(d_start, stride), False, total_iters, voltage,
-            reason or "newton divergence",
+            fld, False, total_iters, voltage, reason or "newton divergence"
         )
 
-    def _field_from_state(self, d: np.ndarray, stride: int) -> beam.DeflectionField:
-        if stride == 3:
-            return beam.field_from_dofs(self.mesh, d)
-        return beam.make_field(self.mesh, d[0::2].copy(), d[1::2].copy())
-
-    def _monolithic_newton(self, voltage: float, d0: np.ndarray, stride: int):
+    def _monolithic_newton(self, voltage: float, d: np.ndarray):
         cfg = self.cfg
         spec = self.spec
-        g_mat = self.basis(stride)
+        g_mat = self.load_basis
         weights = np.tile(self.mesh.gauss_weights(), self.mesh.n_elements)
         gap0 = spec.gap_g
         f_coeff = cfg.load_model.fringing_coefficient
         w = spec.width_w
         scale = 0.5 * electro.VACUUM_PERMITTIVITY * w * voltage**2
-        dscale = electro.VACUUM_PERMITTIVITY * w * voltage**2
+        dq_dv = electro.plate_load_derivative(spec, voltage, f_coeff)
 
-        d = d0.copy()
         max_iter = 50
         r0 = None
         for it in range(1, max_iter + 1):
@@ -317,27 +286,25 @@ class _Runner:
                 return d, it, False, "gap closure"
             q = scale / gap**2 * (1.0 + f_coeff * gap / w)
             f_es = g_mat.T @ (weights * q)
-            if stride == 3:
+            if cfg.structural_mode == LINEAR:
+                k_t = self.linear_op.k0
+                f_int = k_t @ d
+                # matvec roundoff bound for the K d internal force
+                noise = 4.0 * np.finfo(float).eps * float(
+                    np.linalg.norm(np.abs(k_t) @ np.abs(d))
+                )
+            else:
                 try:
                     f_int, k_t, max_local = beam.corotational_internal(self.mesh, d)
                 except ConvergenceError:
                     return d, it, False, "newton divergence"
                 if max_local > 1.4:
                     return d, it, False, "newton divergence"
-            else:
-                k_t = self.k_linear()
-                f_int = k_t @ d
-            res = f_es - f_int
-            res[:stride] = 0.0
-            rn = float(np.linalg.norm(res))
-            ref = max(float(np.linalg.norm(f_es[stride:])), 1e-30)
-            if stride == 3:
                 noise = beam.assembly_noise_floor(self.mesh, d)
-            else:
-                # matvec roundoff bound for the K d internal force
-                noise = 4.0 * np.finfo(float).eps * float(
-                    np.linalg.norm(np.abs(k_t) @ np.abs(d))
-                )
+            res = f_es - f_int
+            res[:3] = 0.0
+            rn = float(np.linalg.norm(res))
+            ref = max(float(np.linalg.norm(f_es[3:])), 1e-30)
             if rn <= 1e-10 * ref + noise:
                 return d, it, True, None
             if not np.isfinite(rn):
@@ -345,16 +312,14 @@ class _Runner:
             r0 = rn if r0 is None else r0
             if it > 5 and rn > 100.0 * r0:
                 return d, it, False, "newton divergence"
-            dq = dscale / gap**3 * (1.0 + 0.5 * f_coeff * gap / w)
-            jac = k_t - g_mat.T @ ((weights * dq)[:, None] * g_mat)
+            jac = k_t - g_mat.T @ ((weights * dq_dv(v_pts))[:, None] * g_mat)
             try:
-                step = beam.solve_clamped_banded(jac, res, stride)
+                step = beam.solve_clamped_banded(jac, res)
             except np.linalg.LinAlgError:
                 return d, it, False, "newton divergence"
             if not np.all(np.isfinite(step)):
                 return d, it, False, "newton divergence"
-            off = stride - 2
-            max_dv = float(np.max(np.abs(step[off::stride])))
+            max_dv = float(np.max(np.abs(step[1::3])))
             factor = min(1.0, 0.2 * gap0 / max_dv) if max_dv > 0 else 1.0
             d = d + factor * step
         return d, max_iter, False, "newton divergence"

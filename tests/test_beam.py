@@ -13,6 +13,25 @@ def uniform(q0):
     return lambda x: np.full_like(x, q0)
 
 
+def classical_stiffness(mesh):
+    """Classical Euler-Bernoulli assembly in the (v, theta) layout, clamped
+    node included: the reference for the tangent at rest."""
+    length = mesh.element_length
+    l2 = length * length
+    ke = (mesh.bending_rigidity / length**3) * np.array(
+        [
+            [12.0, 6.0 * length, -12.0, 6.0 * length],
+            [6.0 * length, 4.0 * l2, -6.0 * length, 2.0 * l2],
+            [-12.0, -6.0 * length, 12.0, -6.0 * length],
+            [6.0 * length, 2.0 * l2, -6.0 * length, 4.0 * l2],
+        ]
+    )
+    k = np.zeros((2 * mesh.n_nodes, 2 * mesh.n_nodes))
+    for e in range(mesh.n_elements):
+        k[2 * e : 2 * e + 4, 2 * e : 2 * e + 4] += ke
+    return k
+
+
 class TestMesh:
     def test_rigidity_from_direct_arithmetic(self, st1_1_measured):
         mesh = build_mesh(st1_1_measured, 20)
@@ -107,6 +126,43 @@ class TestLinear:
         assert errors[2] <= max(errors[1] / 4.0, floor)
 
 
+class TestLinearIsTangentAtRest:
+    """The small-displacement model is the corotational tangent K_t(0)."""
+
+    @pytest.fixture
+    def mesh_and_k0(self, st1_1_measured):
+        mesh = build_mesh(st1_1_measured, 12)
+        return mesh, beam.LinearBeamOperator(mesh).k0
+
+    def test_bending_block_is_classical_element(self, mesh_and_k0):
+        mesh, k0 = mesh_and_k0
+        transverse = np.flatnonzero(np.arange(3 * mesh.n_nodes) % 3 != 0)
+        ref = classical_stiffness(mesh)
+        # relative to sqrt(K_ii K_jj): entries that cancel to zero in the
+        # reference cancel to roundoff in K_t(0)
+        diag = np.sqrt(np.diag(ref))
+        err = np.abs(k0[np.ix_(transverse, transverse)] - ref) / np.outer(diag, diag)
+        assert err.max() <= 1e-13
+
+    def test_axial_block_is_uncoupled_chain(self, mesh_and_k0):
+        mesh, k0 = mesh_and_k0
+        ea_l = mesh.axial_rigidity / mesh.element_length
+        chain = np.zeros((mesh.n_nodes, mesh.n_nodes))
+        for e in range(mesh.n_elements):
+            chain[e : e + 2, e : e + 2] += ea_l * np.array([[1.0, -1.0], [-1.0, 1.0]])
+        assert np.allclose(k0[0::3, 0::3], chain, rtol=1e-13, atol=0.0)
+        assert np.all(k0[0::3, 1::3] == 0.0)
+        assert np.all(k0[0::3, 2::3] == 0.0)
+        assert np.all(k0[1::3, 0::3] == 0.0)
+        assert np.all(k0[2::3, 0::3] == 0.0)
+
+    def test_linear_solve_has_zero_axial(self, st1_1_measured):
+        mesh = build_mesh(st1_1_measured, 12)
+        fld = solve_linear(mesh, uniform(0.3), tip_force=1e-6, tip_moment=1e-12)
+        assert fld.tip > 0.0
+        assert np.all(fld.axial == 0.0)
+
+
 class TestNonlinear:
     def test_zero_load_zero_field(self, st1_1_measured):
         mesh = build_mesh(st1_1_measured, 8)
@@ -158,7 +214,7 @@ class TestNonlinear:
     def test_newton_quadratic_tail(self, st1_1_measured):
         mesh = build_mesh(st1_1_measured, 20)
         q0 = 0.5
-        f_ext = beam.consistent_load_vector(mesh, uniform(q0), 3)
+        f_ext = beam.consistent_load_vector(mesh, uniform(q0))
         _, history, ok = beam.newton_solve(mesh, f_ext)
         assert ok
         ref = np.linalg.norm(f_ext[3:])
@@ -218,3 +274,22 @@ class TestDeflectionField:
         fld = solve_linear(mesh, uniform(1e-2))
         with pytest.raises(ValueError):
             fld.deflection[0] = 1.0
+        with pytest.raises(ValueError):
+            fld.dofs[4] = 1.0
+
+    def test_components_are_views_of_one_copied_vector(self, st1_1_measured):
+        mesh = build_mesh(st1_1_measured, 8)
+        dofs = np.arange(3.0 * mesh.n_nodes)
+        fld = beam.DeflectionField(mesh, dofs)
+        dofs[:] = -1.0
+        assert np.array_equal(fld.axial, np.arange(0.0, dofs.size, 3))
+        assert np.array_equal(fld.deflection, np.arange(1.0, dofs.size, 3))
+        assert np.array_equal(fld.rotation, np.arange(2.0, dofs.size, 3))
+        assert fld.tip == dofs.size - 2.0
+        for view in (fld.axial, fld.deflection, fld.rotation):
+            assert np.shares_memory(view, fld.dofs)
+
+    def test_wrong_length_rejected(self, st1_1_measured):
+        mesh = build_mesh(st1_1_measured, 8)
+        with pytest.raises(ValueError, match="dofs"):
+            beam.DeflectionField(mesh, np.zeros(2 * mesh.n_nodes))

@@ -1,0 +1,65 @@
+"""CLI CSV output against committed goldens, byte for byte.
+
+Each golden under ``tests/golden/`` is the standard output of one command
+line run through ``cli.run``.  A refactor that keeps the algorithm must keep
+these bytes.  To record them again from the current tree (only where a
+change of output is intended and explained):
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+import pytest
+
+from micropull.cli import run
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+CASES = {
+    **{
+        f"pullin-{spec}-{dims}-{model}-{coupling}": [
+            "pullin", "--id", spec, "--dims", dims, "--load", "plate",
+            "--model", model, "--coupling", coupling,
+        ]
+        for spec, dims in (("ST1-1", "measured"), ("ST1-3", "nominal"))
+        for model in ("linear", "nonlinear")
+        for coupling in ("staggered", "monolithic")
+    },
+    "sweep-ST1-1-measured-plate-linear-monolithic": [
+        "sweep", "--id", "ST1-1", "--dims", "measured", "--load", "plate",
+        "--model", "linear", "--coupling", "monolithic", "--vmax", "200", "--steps", "8",
+    ],
+    "band-ST1-6-measured-plate-linear": [
+        "band", "--id", "ST1-6", "--dims", "measured", "--load", "plate",
+        "--model", "linear", "--vmax", "100", "--steps", "6",
+    ],
+    "sweep-ST1-1-measured-field2d-linear": [
+        "sweep", "--id", "ST1-1", "--dims", "measured", "--load", "field2d",
+        "--model", "linear", "--vmax", "200", "--steps", "5",
+    ],
+}
+
+
+def _run(argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run(argv)
+    assert code == 0, argv
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_golden(name):
+    expected = (GOLDEN / f"{name}.csv").read_text(encoding="utf-8")
+    assert _run(CASES[name]) == expected
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for name, argv in CASES.items():
+        (GOLDEN / f"{name}.csv").write_text(_run(argv), encoding="utf-8")
+        print(name, file=sys.stderr)
