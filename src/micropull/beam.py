@@ -383,22 +383,39 @@ def assembly_noise_floor(mesh: BeamMesh, dofs: np.ndarray) -> float:
     )
 
 
+def newton_step(k_full: np.ndarray, res: np.ndarray, load: np.ndarray, tip_gap=None):
+    """Newton step and load-factor change; K step = res - dlam load.
+
+    dlam is 0 unless the step's tip deflection ``tip_gap`` is prescribed.
+    Then Keller's bordering solves K [a b] = [res load] with one banded
+    factorization and dlam = (tip_gap - a_tip) / b_tip.
+    """
+    if tip_gap is None:
+        return solve_clamped_banded(k_full, res), 0.0
+    a, b = solve_clamped_banded(k_full, np.column_stack([res, load])).T
+    dlam = (tip_gap - a[-2]) / b[-2]
+    return a + dlam * b, dlam
+
+
 def newton_solve(
     mesh: BeamMesh,
     f_ext: np.ndarray,
     start: np.ndarray | None = None,
     residual_tol: float = 1e-10,
     max_iterations: int = 30,
+    tip: float | None = None,
 ):
-    """Full Newton iteration on the corotational residual for a fixed load.
+    """Full Newton iteration on the corotational residual lam f_ext - f_int.
 
-    Returns (dofs, residual_history, converged).  ``f_ext`` and the state
-    use the (u, v, theta) layout including the clamped node.
+    Returns (dofs, residual_history, converged, lam).  ``f_ext`` and the
+    state use the (u, v, theta) layout including the clamped node.  The
+    load factor lam is 1 unless ``tip`` is given; then the tip deflection is
+    prescribed and lam is solved for by bordered Newton steps.
     """
     n_dof = 3 * mesh.n_nodes
     d = np.zeros(n_dof) if start is None else np.array(start, dtype=float)
+    lam = 1.0 if tip is None else 0.0
     ref = np.linalg.norm(f_ext[3:])
-    tol = residual_tol * max(ref, 1e-30)
     length_cap = 0.3 * mesh.specimen.length_l
     history: list[float] = []
 
@@ -406,25 +423,28 @@ def newton_solve(
         try:
             f_int, k_t, max_local = corotational_internal(mesh, d)
         except ConvergenceError:
-            return d, history, False
-        res = f_ext - f_int
+            return d, history, False, lam
+        res = lam * f_ext - f_int
         res[:3] = 0.0
         rn = float(np.linalg.norm(res))
         history.append(rn)
-        if rn <= tol + assembly_noise_floor(mesh, d):
-            return d, history, True
+        tip_gap = None if tip is None else tip - d[-2]
+        floor = residual_tol * max(abs(lam) * ref, 1e-30) + assembly_noise_floor(mesh, d)
+        if rn <= floor and (tip_gap is None or abs(tip_gap) <= 1e-12 * abs(tip)):
+            return d, history, True, lam
         if not np.isfinite(rn) or max_local > _MAX_LOCAL_ROTATION:
-            return d, history, False
-        if it >= 4 and rn > 10.0 * history[0]:
-            return d, history, False
+            return d, history, False, lam
+        # a zero start (prescribed tip) has a zero first residual
+        if it >= 4 and rn > 10.0 * (history[0] or history[1]):
+            return d, history, False, lam
         if it == max_iterations:
-            return d, history, False
+            return d, history, False, lam
         try:
-            step = solve_clamped_banded(k_t, res)
+            step, dlam = newton_step(k_t, res, f_ext, tip_gap)
         except np.linalg.LinAlgError:
-            return d, history, False
+            return d, history, False, lam
         if not np.all(np.isfinite(step)):
-            return d, history, False
+            return d, history, False, lam
         # keep individual updates inside the frame's validity
         scale = 1.0
         max_rot = float(np.max(np.abs(step[2::3]))) if n_dof else 0.0
@@ -434,7 +454,8 @@ def newton_solve(
         if max_tr > length_cap:
             scale = min(scale, length_cap / max_tr)
         d = d + scale * step
-    return d, history, False
+        lam += scale * dlam
+    return d, history, False, lam
 
 
 def solve_nonlinear(
@@ -463,7 +484,7 @@ def solve_nonlinear(
         history: list[float] = []
         ok = True
         for i in range(1, n_inc + 1):
-            d, history, ok = newton_solve(
+            d, history, ok, _ = newton_solve(
                 mesh, f_ext * (i / n_inc), start=d,
                 residual_tol=residual_tol, max_iterations=max_iterations,
             )

@@ -22,7 +22,6 @@ from .coupled import (
     SweepResult,
     find_pull_in,
     modulus_band_sweep,
-    solve_equilibrium,
     voltage_sweep,
 )
 from .errors import PullInNotFoundError, SpecimenFormatError
@@ -206,7 +205,7 @@ def emit_sweep_csv(result: SweepResult, sink: TextIO) -> None:
 
 
 def _sweep_json_obj(result: SweepResult) -> dict:
-    obj: dict = {
+    return {
         "points": [
             {
                 "voltage_V": p.voltage,
@@ -215,10 +214,9 @@ def _sweep_json_obj(result: SweepResult) -> dict:
                 "iterations": p.iterations,
             }
             for p in result.points
-        ]
+        ],
+        "pull_in_V": result.pull_in.pull_in_voltage if result.pull_in else None,
     }
-    obj["pull_in_V"] = result.pull_in.pull_in_voltage if result.pull_in else None
-    return obj
 
 
 def _emit(args, csv_writer, json_obj) -> None:
@@ -232,6 +230,31 @@ def _emit(args, csv_writer, json_obj) -> None:
     finally:
         if close:
             sink.close()
+
+
+def _emit_row(args, row: dict, six_digit: tuple[str, ...] = ()) -> None:
+    """One record as a CSV header and row, or as the JSON object.  CSV cells
+    print floats exactly (``six_digit`` keys to six digits), booleans lower case."""
+
+    def cell(key: str, value) -> str:
+        if isinstance(value, bool):
+            return str(value).lower()
+        if isinstance(value, float):
+            return _fmt6(value) if key in six_digit else _fmt(value)
+        return str(value)
+
+    def csv_writer(sink: TextIO) -> None:
+        sink.write(",".join(row) + "\n")
+        sink.write(",".join(cell(k, v) for k, v in row.items()) + "\n")
+
+    _emit(args, csv_writer, lambda: row)
+
+
+def _select_with_modulus(args) -> catalog.Specimen:
+    """The selected specimen, with the single ``--E`` value applied if given."""
+    spec = _select(args)
+    modulus = _parse_modulus(args.modulus, expect_pair=False)
+    return spec.with_young_modulus(modulus[0]) if modulus else spec
 
 
 def _cmd_catalog(args) -> int:
@@ -275,69 +298,32 @@ def _cmd_ratios(args) -> int:
     spec = _select(args)
     ratios = catalog.aspect_ratios(spec)
     flags = catalog.classify(ratios)
-
-    def csv_writer(sink: TextIO) -> None:
-        sink.write(
-            "id,dimension_source,r1,r2,r3,r4,"
-            "plate_model_warning,large_displacement_warning,high_compliance\n"
-        )
-        sink.write(
-            f"{spec.id},{spec.dimension_source},"
-            f"{_fmt6(ratios.r1)},{_fmt6(ratios.r2)},{_fmt6(ratios.r3)},{_fmt6(ratios.r4)},"
-            f"{str(flags.plate_model_warning).lower()},"
-            f"{str(flags.large_displacement_warning).lower()},"
-            f"{str(flags.high_compliance).lower()}\n"
-        )
-
-    def json_obj() -> dict:
-        return {
-            "id": spec.id,
-            "dimension_source": spec.dimension_source,
-            "r1": ratios.r1,
-            "r2": ratios.r2,
-            "r3": ratios.r3,
-            "r4": ratios.r4,
-            "plate_model_warning": flags.plate_model_warning,
-            "large_displacement_warning": flags.large_displacement_warning,
-            "high_compliance": flags.high_compliance,
-        }
-
-    _emit(args, csv_writer, json_obj)
+    row = {"id": spec.id, "dimension_source": spec.dimension_source}
+    row.update(vars(ratios))
+    row.update(vars(flags))
+    _emit_row(args, row, six_digit=("r1", "r2", "r3", "r4"))
     return EXIT_OK
 
 
 def _cmd_analytic(args) -> int:
-    spec = _select(args)
-    modulus = _parse_modulus(args.modulus, expect_pair=False)
-    if modulus:
-        spec = spec.with_young_modulus(modulus[0])
+    spec = _select_with_modulus(args)
     estimate = osterberg_pull_in(spec)
-
-    def csv_writer(sink: TextIO) -> None:
-        sink.write("id,dimension_source,method,pull_in_voltage_V,pull_in_displacement_um\n")
-        sink.write(
-            f"{spec.id},{spec.dimension_source},{estimate.method},"
-            f"{_fmt(estimate.voltage)},{_fmt6(estimate.displacement * 1e6)}\n"
-        )
-
-    def json_obj() -> dict:
-        return {
-            "id": spec.id,
-            "dimension_source": spec.dimension_source,
-            "method": estimate.method,
-            "pull_in_voltage_V": estimate.voltage,
-            "pull_in_displacement_um": estimate.displacement * 1e6,
-        }
-
-    _emit(args, csv_writer, json_obj)
+    row = {
+        "id": spec.id,
+        "dimension_source": spec.dimension_source,
+        "method": estimate.method,
+        "pull_in_voltage_V": estimate.voltage,
+        "pull_in_displacement_um": estimate.displacement * 1e6,
+    }
+    _emit_row(args, row, six_digit=("pull_in_displacement_um",))
     return EXIT_OK
 
 
-def _maybe_dump_field(args, spec, cfg: SolverConfig, voltage: float | None) -> None:
+def _maybe_dump_field(args, spec, cfg: SolverConfig, voltage: float | None, state) -> None:
+    """Write the potential of the reported equilibrium ``state`` at ``voltage``."""
     if not args.dump_field or voltage is None:
         return
-    eq = solve_equilibrium(spec, voltage, cfg)
-    solution = electro.solve_field2d(spec, eq.deflection, voltage, cfg.load_model)
+    solution = electro.solve_field2d(spec, state, voltage, cfg.load_model)
     try:
         with open(args.dump_field, "w", encoding="utf-8", newline="") as fh:
             electro.dump_field_csv(solution, fh)
@@ -346,50 +332,32 @@ def _maybe_dump_field(args, spec, cfg: SolverConfig, voltage: float | None) -> N
 
 
 def _cmd_sweep(args) -> int:
-    spec = _select(args)
-    modulus = _parse_modulus(args.modulus, expect_pair=False)
-    if modulus:
-        spec = spec.with_young_modulus(modulus[0])
+    spec = _select_with_modulus(args)
     cfg = _solver_config(args)
     _check_sweep_range(args)
     result = voltage_sweep(spec, args.vmax, args.steps, cfg)
     _emit(args, lambda sink: emit_sweep_csv(result, sink), lambda: _sweep_json_obj(result))
     converged = result.converged_points()
-    _maybe_dump_field(args, spec, cfg, converged[-1].voltage if converged else None)
+    _maybe_dump_field(
+        args, spec, cfg, converged[-1].voltage if converged else None, result.last_state
+    )
     return EXIT_OK
 
 
 def _cmd_pullin(args) -> int:
-    spec = _select(args)
-    modulus = _parse_modulus(args.modulus, expect_pair=False)
-    if modulus:
-        spec = spec.with_young_modulus(modulus[0])
+    spec = _select_with_modulus(args)
     cfg = _solver_config(args)
     result = find_pull_in(spec, cfg)
-
-    def csv_writer(sink: TextIO) -> None:
-        sink.write(
-            "id,dimension_source,pull_in_V,bracket_low_V,bracket_high_V,"
-            "last_stable_tip_um\n"
-        )
-        sink.write(
-            f"{spec.id},{spec.dimension_source},{_fmt(result.pull_in_voltage)},"
-            f"{_fmt(result.bracket_low)},{_fmt(result.bracket_high)},"
-            f"{_fmt6(result.tip_displacement * 1e6)}\n"
-        )
-
-    def json_obj() -> dict:
-        return {
-            "id": spec.id,
-            "dimension_source": spec.dimension_source,
-            "pull_in_V": result.pull_in_voltage,
-            "bracket_low_V": result.bracket_low,
-            "bracket_high_V": result.bracket_high,
-            "last_stable_tip_um": result.tip_displacement * 1e6,
-        }
-
-    _emit(args, csv_writer, json_obj)
-    _maybe_dump_field(args, spec, cfg, result.bracket_low if result.bracket_low > 0 else None)
+    row = {
+        "id": spec.id,
+        "dimension_source": spec.dimension_source,
+        "pull_in_V": result.pull_in_voltage,
+        "bracket_low_V": result.bracket_low,
+        "bracket_high_V": result.bracket_high,
+        "last_stable_tip_um": result.tip_displacement * 1e6,
+    }
+    _emit_row(args, row, six_digit=("last_stable_tip_um",))
+    _maybe_dump_field(args, spec, cfg, result.bracket_low, result.deflection)
     return EXIT_OK
 
 
@@ -454,10 +422,7 @@ def run(argv: Sequence[str]) -> int:
     except PullInNotFoundError as exc:
         print(f"micropull: no pull-in: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    except (SpecimenFormatError, _FileError, FileNotFoundError) as exc:
-        print(f"micropull: file error: {exc}", file=sys.stderr)
-        return EXIT_FILE
-    except OSError as exc:
+    except (SpecimenFormatError, _FileError, OSError) as exc:
         print(f"micropull: file error: {exc}", file=sys.stderr)
         return EXIT_FILE
 

@@ -11,26 +11,21 @@ Two coupling modes solve the same discrete problem:
   structure/electrostatics residual, with the analytic load-softening term
   d q / d v in the Jacobian.
 
-Pull-in is defined operationally as loss of convergence of the equilibrium
-iteration (either gap closure or iteration divergence) and is bracketed to
-a configurable voltage tolerance by doubling followed by bisection.  The
-search is a continuation: every probe after the first converged one starts
-from the converged state at the largest voltage that has converged so far.
-That state lies below the stable branch at any higher voltage, and the
-staggered map climbs monotonically from below, so a warm probe normally
-reaches the fixed point a cold probe reaches, or fails where no equilibrium
-exists.  The bracket then equals the one a cold-start search finds and
-replays from a cold start: field2d and every plate mode on measured ST1-1,
-and 40 of the 48 catalog plate searches.  It can differ by a bisection step
-or more where the two iterations part within a step of the fold: where the
-monolithic substep ladder converges from one start and not from the other,
-where a cold probe runs out of coupling budget, or where an extrapolated
-warm step overshoots the stable equilibrium.
+Pull-in is the maximum of the equilibrium voltage over the tip deflection.
+The search prescribes the tip deflection and solves for V (DIPIE: Bochobza-
+Degani, Elata & Nemirovsky, JMEMS 11(5), 2002): at fixed geometry both load
+models are V^2 times their 1 V load, so lam = V^2 is the one extra unknown
+of a structural solve with the tip pinned, bordered as in Keller (1977).
+A prescribed tip has an equilibrium on both sides of the fold, so no solve
+runs where none exists, and the result does not depend on an iteration
+budget.  Voltage sweeps stay voltage-controlled, each point starting from
+the previous one.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
@@ -38,7 +33,7 @@ from functools import cached_property
 import numpy as np
 
 from . import beam, electro
-from .analytic import FEM, osterberg_pull_in
+from .analytic import FEM
 from .catalog import Specimen
 from .errors import ConvergenceError, GapClosureError, PullInNotFoundError
 
@@ -62,7 +57,7 @@ class SolverConfig:
         default_factory=electro.LoadModelConfig
     )
     coupling_mode: str = STAGGERED
-    coupling_tolerance: float = 1e-6  # relative tip-displacement change
+    coupling_tolerance: float = 1e-6  # relative tip (or V^2) change
     max_coupling_iterations: int = 100
     relaxation: float = 1.0  # Aitken's starting and minimum factor
     pull_in_bracket_tolerance: float = 0.1  # volts
@@ -103,13 +98,16 @@ class EquilibriumResult:
 
 @dataclass(frozen=True)
 class PullInResult:
-    """Bracketed instability voltage of a coupled model."""
+    """Bracketed instability voltage, with the equilibrium at bracket_low."""
 
-    bracket_low: float  # largest voltage with a converged equilibrium
-    bracket_high: float  # smallest voltage without one
-    pull_in_voltage: float  # bracket midpoint
+    bracket_low: float  # voltage of a computed stable equilibrium
+    bracket_high: float  # bound above which no equilibrium exists
+    pull_in_voltage: float  # largest computed equilibrium voltage
     tip_displacement: float  # tip deflection at bracket_low (m)
     method: str = FEM
+    deflection: beam.DeflectionField | None = dataclass_field(
+        default=None, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         if not self.bracket_low < self.pull_in_voltage < self.bracket_high:
@@ -126,10 +124,14 @@ class SweepPoint:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Ordered displacement-voltage curve, optionally ending in pull-in."""
+    """Ordered displacement-voltage curve, optionally ending in pull-in,
+    with the deflection at its last converged point."""
 
     points: tuple[SweepPoint, ...]
     pull_in: PullInResult | None = None
+    last_state: beam.DeflectionField | None = dataclass_field(
+        default=None, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         volts = [p.voltage for p in self.points]
@@ -176,10 +178,8 @@ class _Runner:
         self, voltage: float, start: beam.DeflectionField | None = None
     ) -> EquilibriumResult:
         started = time.perf_counter()
-        if self.cfg.coupling_mode == STAGGERED:
-            result = self._staggered(voltage, start)
-        else:
-            result = self._monolithic(voltage, start)
+        solve = self._staggered if self.cfg.coupling_mode == STAGGERED else self._monolithic
+        result = solve(voltage, start)
         logger.debug(
             "equilibrium V=%.4f: converged=%s iters=%d (%.1f ms)",
             voltage, result.converged, result.iterations,
@@ -187,33 +187,39 @@ class _Runner:
         )
         return result
 
-    def _structural_solve(
-        self, load, warm: beam.DeflectionField
-    ) -> beam.DeflectionField:
+    def _structural_solve(self, load, warm: beam.DeflectionField, tip: float | None = None):
+        """Solve under ``load``, or with ``tip`` under lam times it with the tip
+        pinned; returns (field, lam)."""
         if self.cfg.structural_mode == LINEAR:
-            return self.linear_op.solve(load)
+            solved = self.linear_op.solve(load)
+            lam = 1.0 if tip is None else tip / solved.tip
+            return beam.DeflectionField(self.mesh, lam * solved.dofs), lam
         f_ext = beam.consistent_load_vector(self.mesh, load)
-        d, _, ok = beam.newton_solve(self.mesh, f_ext, start=warm.dofs)
+        d, _, ok, lam = beam.newton_solve(self.mesh, f_ext, start=warm.dofs, tip=tip)
         if ok:
-            return beam.DeflectionField(self.mesh, d)
+            return beam.DeflectionField(self.mesh, d), lam
+        if tip is not None:
+            raise ConvergenceError("bordered Newton solve did not converge")
         # warm start led Newton astray; retry with automatic load increments
-        return beam.solve_nonlinear(self.mesh, load)
+        return beam.solve_nonlinear(self.mesh, load), 1.0
 
     def _staggered(
-        self, voltage: float, start: beam.DeflectionField | None
+        self, voltage: float, start: beam.DeflectionField | None, tip: float | None = None
     ) -> EquilibriumResult:
+        """Load and structural solves until the tip settles, or with ``tip``
+        pinned (``voltage`` unknown) until lam = V^2 settles."""
         cfg = self.cfg
         fld = start if start is not None else beam.zero_field(self.mesh)
         prev = fld  # the iterate before fld, still short of the electrode
         omega = cfg.relaxation
-        tip_floor = 1e-12 * self.spec.gap_g
-        tip_prev = fld.tip
+        floor = 1e-12 * self.spec.gap_g
+        settled = fld.tip if tip is None else math.inf
         r_prev: np.ndarray | None = None
 
         for it in range(1, cfg.max_coupling_iterations + 1):
             try:
-                load = self._load_for(fld, voltage)
-                solved = self._structural_solve(load, fld)
+                load = self._load_for(fld, voltage if tip is None else 1.0)
+                solved, lam = self._structural_solve(load, fld, tip)
             except GapClosureError:
                 # fld reaches through the counter-electrode; report the
                 # last iterate whose load evaluation succeeded
@@ -233,11 +239,12 @@ class _Runner:
             relaxed = beam.DeflectionField(
                 self.mesh, fld.dofs + omega * (solved.dofs - fld.dofs)
             )
-            tip_new = relaxed.tip
-            if abs(tip_new - tip_prev) <= cfg.coupling_tolerance * max(abs(tip_new), tip_floor):
-                return EquilibriumResult(relaxed, True, it, voltage)
+            now = relaxed.tip if tip is None else lam
+            if abs(now - settled) <= cfg.coupling_tolerance * max(abs(now), floor):
+                found = voltage if tip is None else math.sqrt(lam)
+                return EquilibriumResult(relaxed, True, it, found)
             prev, fld = fld, relaxed
-            tip_prev = tip_new
+            settled = now
         return EquilibriumResult(
             fld, False, cfg.max_coupling_iterations, voltage, "max coupling iterations"
         )
@@ -252,7 +259,9 @@ class _Runner:
             ok = True
             reason = None
             for k in range(1, substeps + 1):
-                d, iters, ok, reason = self._monolithic_newton(voltage * (k / substeps), d)
+                d, _, iters, ok, reason = self._monolithic_newton(
+                    d, (voltage * (k / substeps)) ** 2
+                )
                 total_iters += iters
                 if not ok:
                     break
@@ -264,7 +273,9 @@ class _Runner:
             fld, False, total_iters, voltage, reason or "newton divergence"
         )
 
-    def _monolithic_newton(self, voltage: float, d: np.ndarray):
+    def _monolithic_newton(self, d: np.ndarray, lam: float, tip: float | None = None):
+        """Newton at lam = V^2, or with ``tip`` prescribed and lam unknown
+        (bordered); returns (d, lam, iters, ok, reason)."""
         cfg = self.cfg
         spec = self.spec
         g_mat = self.load_basis
@@ -272,20 +283,20 @@ class _Runner:
         gap0 = spec.gap_g
         f_coeff = cfg.load_model.fringing_coefficient
         w = spec.width_w
-        scale = 0.5 * electro.VACUUM_PERMITTIVITY * w * voltage**2
-        dq_dv = electro.plate_load_derivative(spec, voltage, f_coeff)
+        scale = 0.5 * electro.VACUUM_PERMITTIVITY * w  # the 1 V load
+        dq_dv = electro.plate_load_derivative(spec, 1.0, f_coeff)
 
         max_iter = 50
         r0 = None
         for it in range(1, max_iter + 1):
             v_pts = g_mat @ d
             if not np.all(np.isfinite(v_pts)):
-                return d, it, False, "newton divergence"
+                return d, lam, it, False, "newton divergence"
             gap = gap0 - v_pts
             if np.any(gap <= 0.0):
-                return d, it, False, "gap closure"
-            q = scale / gap**2 * (1.0 + f_coeff * gap / w)
-            f_es = g_mat.T @ (weights * q)
+                return d, lam, it, False, "gap closure"
+            f_unit = g_mat.T @ (weights * (scale / gap**2 * (1.0 + f_coeff * gap / w)))
+            f_es = lam * f_unit
             if cfg.structural_mode == LINEAR:
                 k_t = self.linear_op.k0
                 f_int = k_t @ d
@@ -297,32 +308,46 @@ class _Runner:
                 try:
                     f_int, k_t, max_local = beam.corotational_internal(self.mesh, d)
                 except ConvergenceError:
-                    return d, it, False, "newton divergence"
+                    return d, lam, it, False, "newton divergence"
                 if max_local > 1.4:
-                    return d, it, False, "newton divergence"
+                    return d, lam, it, False, "newton divergence"
                 noise = beam.assembly_noise_floor(self.mesh, d)
             res = f_es - f_int
             res[:3] = 0.0
             rn = float(np.linalg.norm(res))
             ref = max(float(np.linalg.norm(f_es[3:])), 1e-30)
-            if rn <= 1e-10 * ref + noise:
-                return d, it, True, None
+            tip_gap = None if tip is None else tip - d[-2]
+            pinned = tip_gap is None or abs(tip_gap) <= 1e-12 * abs(tip)
+            if rn <= 1e-10 * ref + noise and pinned:
+                return d, lam, it, True, None
             if not np.isfinite(rn):
-                return d, it, False, "newton divergence"
-            r0 = rn if r0 is None else r0
+                return d, lam, it, False, "newton divergence"
+            r0 = r0 or rn  # a zero start (prescribed tip) has a zero first residual
             if it > 5 and rn > 100.0 * r0:
-                return d, it, False, "newton divergence"
-            jac = k_t - g_mat.T @ ((weights * dq_dv(v_pts))[:, None] * g_mat)
+                return d, lam, it, False, "newton divergence"
+            jac = k_t - lam * g_mat.T @ ((weights * dq_dv(v_pts))[:, None] * g_mat)
             try:
-                step = beam.solve_clamped_banded(jac, res)
+                step, dlam = beam.newton_step(jac, res, f_unit, tip_gap)
             except np.linalg.LinAlgError:
-                return d, it, False, "newton divergence"
+                return d, lam, it, False, "newton divergence"
             if not np.all(np.isfinite(step)):
-                return d, it, False, "newton divergence"
+                return d, lam, it, False, "newton divergence"
             max_dv = float(np.max(np.abs(step[1::3])))
             factor = min(1.0, 0.2 * gap0 / max_dv) if max_dv > 0 else 1.0
             d = d + factor * step
-        return d, max_iter, False, "newton divergence"
+            lam += factor * dlam
+        return d, lam, max_iter, False, "newton divergence"
+
+    def at_tip(self, tip: float, start: beam.DeflectionField) -> EquilibriumResult:
+        """Equilibrium at a prescribed tip, V unknown; ``start`` is scaled to it."""
+        if start.tip > 0.0:
+            start = beam.DeflectionField(self.mesh, start.dofs * (tip / start.tip))
+        if self.cfg.coupling_mode == STAGGERED:
+            return self._staggered(math.nan, start, tip)
+        d, lam, iters, ok, reason = self._monolithic_newton(start.dofs, 0.0, tip)
+        return EquilibriumResult(
+            beam.DeflectionField(self.mesh, d), ok, iters, math.sqrt(max(lam, 0.0)), reason
+        )
 
 
 def solve_equilibrium(
@@ -335,80 +360,70 @@ def solve_equilibrium(
     return _Runner(spec, cfg).equilibrium(voltage)
 
 
-def _bisect_pull_in(runner: _Runner, lo: EquilibriumResult, hi: float) -> PullInResult:
-    """Shrink a (converged, diverged) voltage bracket to the configured width.
+def _pull_in_search(runner: _Runner, cap: float) -> PullInResult:
+    """Maximise V over the prescribed tip x (in gaps), giving up above ``cap``.
 
-    Each probe starts from the converged state at the bracket's low end.
+    Successive parabolic interpolation through the three highest solved
+    points, from x = 0.35, 0.45 and 0.55; each solve starts from the nearest
+    solved state.  It stops once the parabola predicts a gain under a
+    quarter of the tolerance: that bounds bracket_high.  bracket_low is a
+    solved point left of the highest, so on the stable branch.
     """
-    tol = runner.cfg.pull_in_bracket_tolerance
-    for _ in range(200):
-        if hi - lo.voltage <= tol:
-            break
-        mid = 0.5 * (lo.voltage + hi)
-        res = runner.equilibrium(mid, start=lo.deflection)
-        if res.converged:
-            lo = res
-        else:
-            hi = mid
-    return PullInResult(
-        bracket_low=lo.voltage,
-        bracket_high=hi,
-        pull_in_voltage=0.5 * (lo.voltage + hi),
-        tip_displacement=lo.deflection.tip,
-    )
+    cfg, spec = runner.cfg, runner.spec
+    tol = cfg.pull_in_bracket_tolerance
+    solved: dict[float, EquilibriumResult] = {}
+
+    def solve_at(x: float) -> None:
+        near = min(solved, key=lambda t: abs(t - x), default=None)
+        start = beam.zero_field(runner.mesh) if near is None else solved[near].deflection
+        res = runner.at_tip(x * spec.gap_g, start)
+        if not res.converged or res.voltage > cap:
+            raise PullInNotFoundError(
+                f"no pull-in found for {spec.id} ({spec.dimension_source}) below "
+                f"{cap:.0f} V: at a tip deflection of {x:.3g} gap, "
+                f"{res.failure_reason or f'{res.voltage:.0f} V'}"
+            )
+        solved[x] = res
+
+    for x in (0.35, 0.45, 0.55):
+        solve_at(x)
+    for _ in range(100):
+        top = sorted(solved, key=lambda t: solved[t].voltage, reverse=True)[:3]
+        best, v_max = top[0], solved[top[0]].voltage
+        c2, c1, c0 = np.polyfit(top, [solved[t].voltage for t in top], 2)
+        span = max(top) - min(top)
+        lo = max(min(top) - span, 0.5 * min(top))
+        hi = min(max(top) + span, 0.5 * (max(top) + 1.0))
+        if c2 >= 0.0:  # the highest point is an end one: step beyond it
+            solve_at(hi if best == max(top) else lo)
+            continue
+        vertex, peak = -0.5 * c1 / c2, c0 - 0.25 * c1 * c1 / c2
+        # the parabola through the fixed start points is never final
+        if len(solved) == 3 or not lo <= vertex <= hi or peak - v_max >= 0.25 * tol:
+            solve_at(min(max(vertex, lo), hi))
+            continue
+        left = [t for t in solved if t < best and solved[t].voltage < v_max]
+        low = max(left, key=lambda t: solved[t].voltage, default=0.0)
+        if left and v_max - solved[low].voltage <= 0.75 * tol:
+            found = solved[low]
+            return PullInResult(
+                found.voltage, v_max + 0.25 * tol, v_max, found.deflection.tip,
+                deflection=found.deflection,
+            )
+        # where the parabola drops tol / 2 below the maximum, else bisect
+        x = vertex - np.sqrt((peak - v_max + 0.5 * tol) / -c2)
+        solve_at(x if low < x < best else 0.5 * (low + best))
+    raise PullInNotFoundError(f"pull-in search for {spec.id} did not settle")
 
 
 def find_pull_in(spec: Specimen, config: SolverConfig | None = None) -> PullInResult:
-    """Bracket the pull-in voltage by doubling and bisection.
+    """Pull-in as the maximum of the equilibrium voltage over the tip deflection.
 
-    Every probe after the first converged one starts from the converged
-    state at the largest voltage that has converged so far (continuation).
-    A probe normally reaches the fixed point a cold start reaches, so
-    re-solving from the undeformed beam converges at bracket_low and fails
-    at bracket_high; the module docstring names where the two part.
-    Raises PullInNotFoundError if no divergent voltage exists below the cap.
+    Raises PullInNotFoundError if that maximum lies above ``voltage_cap``
+    or a solve at a prescribed tip fails.
     """
     cfg = config or SolverConfig()
-    runner = _Runner(spec, cfg)
-    cap = cfg.voltage_cap
-
-    probe = min(max(osterberg_pull_in(spec).voltage / 4.0, 1.0), cap)
-    lo: EquilibriumResult | None = None
-    hi = None
-
-    res = runner.equilibrium(probe)
-    if res.converged:
-        lo = res
-        v = probe
-        while hi is None:
-            if v >= cap:
-                raise PullInNotFoundError(
-                    f"no pull-in found for {spec.id} ({spec.dimension_source}) "
-                    f"below the {cap:.0f} V cap"
-                )
-            v = min(2.0 * v, cap)
-            res = runner.equilibrium(v, start=lo.deflection)
-            if res.converged:
-                lo = res
-            else:
-                hi = v
-    else:
-        hi = probe
-        v = probe
-        while lo is None:
-            v = 0.5 * v
-            if v < 1e-9:
-                raise PullInNotFoundError(
-                    f"equilibrium fails even at negligible voltage for {spec.id}"
-                )
-            # nothing has converged yet, so each halving starts cold
-            res = runner.equilibrium(v)
-            if res.converged:
-                lo = res
-            else:
-                hi = v
-
-    return _bisect_pull_in(runner, lo, hi)
+    return _pull_in_search(_Runner(spec, cfg), cfg.voltage_cap)
 
 
 def voltage_sweep(
@@ -421,8 +436,7 @@ def voltage_sweep(
 
     Each point is warm-started from the previous solution (continuation);
     the sweep stops at the first non-converged point and, when that
-    happens, refines the enclosing voltage interval into a PullInResult,
-    again starting every probe from the last converged state.
+    happens, adds the PullInResult of the search ``find_pull_in`` runs.
     """
     if not v_max > 0.0:
         raise ValueError("v_max must be positive")
@@ -440,10 +454,10 @@ def voltage_sweep(
         res = runner.equilibrium(v, start=last_ok.deflection)
         points.append(SweepPoint(v, res.deflection.tip, res.converged, res.iterations))
         if not res.converged:
-            pull_in = _bisect_pull_in(runner, last_ok, v)
+            pull_in = _pull_in_search(runner, math.inf)  # the failure shows one exists
             break
         last_ok = res
-    return SweepResult(points=tuple(points), pull_in=pull_in)
+    return SweepResult(points=tuple(points), pull_in=pull_in, last_state=last_ok.deflection)
 
 
 def modulus_band_sweep(

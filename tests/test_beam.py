@@ -215,7 +215,7 @@ class TestNonlinear:
         mesh = build_mesh(st1_1_measured, 20)
         q0 = 0.5
         f_ext = beam.consistent_load_vector(mesh, uniform(q0))
-        _, history, ok = beam.newton_solve(mesh, f_ext)
+        _, history, ok, _ = beam.newton_solve(mesh, f_ext)
         assert ok
         ref = np.linalg.norm(f_ext[3:])
         rho = [h / ref for h in history]

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from micropull import SweepPoint, SweepResult
-from micropull import cli
+from micropull import cli, coupled, electro
 from micropull.cli import EXIT_USAGE, emit_sweep_csv, run
 from micropull.coupled import PullInResult
 
@@ -200,6 +200,45 @@ class TestFieldDumpOption:
         assert code == 0
         assert dump.read_text().startswith("x_um,y_um,phi_V")
 
+    @pytest.mark.parametrize("command, search", [
+        (("pullin",), "find_pull_in"),
+        (("sweep", "--vmax", "100", "--steps", "2"), "voltage_sweep"),
+    ])
+    def test_dump_solves_field_of_reported_state(
+        self, capsys, monkeypatch, tmp_path, command, search
+    ):
+        # one field solve on the state the result carries, no equilibrium re-solve
+        counts = {"field": 0, "equilibrium": 0}
+        at_search_end = {}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(electro, "solve_field2d", counted("field", electro.solve_field2d))
+        monkeypatch.setattr(
+            coupled._Runner, "equilibrium", counted("equilibrium", coupled._Runner.equilibrium)
+        )
+        searched = getattr(cli, search)
+
+        def recording(*args, **kwargs):
+            out = searched(*args, **kwargs)
+            at_search_end.update(counts)
+            return out
+
+        monkeypatch.setattr(cli, search, recording)
+        dump = tmp_path / "field.csv"
+        code, _ = run_cli(
+            capsys, *command, "--id", "ST1-1", "--dims", "measured", "--load", "field2d",
+            "--dump-field", str(dump),
+        )
+        assert code == 0
+        assert counts["field"] == at_search_end["field"] + 1
+        assert counts["equilibrium"] == at_search_end["equilibrium"]
+        assert dump.read_text().startswith("x_um,y_um,phi_V")
+
     def test_requires_field2d(self, capsys, tmp_path):
         code, _ = run_cli(
             capsys, "sweep", "--id", "ST1-1", "--load", "plate",
@@ -339,8 +378,7 @@ class TestExitCodeProperty:
 
         out, err = io.StringIO(), io.StringIO()
         with contextlib.ExitStack() as stack:
-            for name in ("find_pull_in", "voltage_sweep", "modulus_band_sweep",
-                         "solve_equilibrium"):
+            for name in ("find_pull_in", "voltage_sweep", "modulus_band_sweep"):
                 stack.enter_context(mock.patch.object(cli, name, no_solve))
             stack.enter_context(contextlib.redirect_stdout(out))
             stack.enter_context(contextlib.redirect_stderr(err))

@@ -16,11 +16,12 @@ from micropull import (
     modulus_band_sweep,
     osterberg_pull_in,
     plate_load,
+    select_specimen,
     solve_equilibrium,
     solve_nonlinear,
     voltage_sweep,
 )
-from micropull import electro
+from micropull import beam, electro
 from micropull.coupled import _Runner
 
 PLATE = SolverConfig(load_model=LoadModelConfig(kind="parallel_plate"))
@@ -28,6 +29,11 @@ PLATE_F0 = SolverConfig(
     load_model=LoadModelConfig(kind="parallel_plate", fringing_coefficient=0.0)
 )
 FIELD2D_1V = SolverConfig(pull_in_bracket_tolerance=1.0)
+# pulls in far above the default 10 kV search cap
+STIFF = Specimen(
+    id="stiff", length_l=50e-6, width_w=15e-6, thickness_t=10e-6,
+    gap_g=20e-6, material=Material(166e9, 0.23), dimension_source="nominal",
+)
 
 
 class TestConfig:
@@ -154,6 +160,13 @@ class TestSweep:
         assert not last.converged
         assert 0.0 <= last.tip_displacement < st1_1_measured.gap_g
 
+    def test_pull_in_above_search_cap(self):
+        # a sweep that failed has seen pull-in, so the search cap does not apply
+        sweep = voltage_sweep(STIFF, 2e5, 4, PLATE)
+        assert sweep.pull_in is not None
+        assert sweep.converged_points()[-1].voltage <= sweep.pull_in.bracket_low
+        assert sweep.pull_in.bracket_high <= sweep.points[-1].voltage
+
     def test_validation(self, st1_1_measured):
         with pytest.raises(ValueError, match="v_max"):
             voltage_sweep(st1_1_measured, 0.0, 5, PLATE)
@@ -233,13 +246,9 @@ class TestPullIn:
         assert 0.3 * s.gap_g < r.tip_displacement < 0.6 * s.gap_g
 
     def test_no_pull_in_below_cap(self):
-        stiff = Specimen(
-            id="stiff", length_l=50e-6, width_w=15e-6, thickness_t=10e-6,
-            gap_g=20e-6, material=Material(166e9, 0.23), dimension_source="nominal",
-        )
-        assert osterberg_pull_in(stiff).voltage > 10_000.0
+        assert osterberg_pull_in(STIFF).voltage > 10_000.0
         with pytest.raises(PullInNotFoundError):
-            find_pull_in(stiff, PLATE)
+            find_pull_in(STIFF, PLATE)
 
 
 class TestModulusBand:
@@ -272,14 +281,15 @@ def plate_brackets(st1_1_measured):
     """Plate-load pull-ins of measured ST1-1 by (structural mode, coupling, budget)."""
     out = {}
     for mode in ("linear", "nonlinear"):
-        for coupling, budget in (("staggered", 100), ("staggered", 1000), ("monolithic", 100)):
-            cfg = SolverConfig(
-                structural_mode=mode,
-                load_model=LoadModelConfig(kind="parallel_plate"),
-                coupling_mode=coupling,
-                max_coupling_iterations=budget,
-            )
-            out[mode, coupling, budget] = find_pull_in(st1_1_measured, cfg)
+        for coupling in ("staggered", "monolithic"):
+            for budget in (100, 1000):
+                cfg = SolverConfig(
+                    structural_mode=mode,
+                    load_model=LoadModelConfig(kind="parallel_plate"),
+                    coupling_mode=coupling,
+                    max_coupling_iterations=budget,
+                )
+                out[mode, coupling, budget] = find_pull_in(st1_1_measured, cfg)
     return out
 
 
@@ -301,6 +311,14 @@ class TestAitkenRelaxation:
         tol = SolverConfig().pull_in_bracket_tolerance
         assert abs(stag.bracket_low - mono.bracket_low) <= tol
         assert abs(stag.bracket_high - mono.bracket_high) <= tol
+
+    @pytest.mark.parametrize("mode", ["linear", "nonlinear"])
+    def test_monolithic_bracket_independent_of_budget(self, plate_brackets, mode):
+        default = plate_brackets[mode, "monolithic", 100]
+        generous = plate_brackets[mode, "monolithic", 1000]
+        assert (default.bracket_low, default.bracket_high) == (
+            generous.bracket_low, generous.bracket_high,
+        )
 
     def test_field2d_bracket_independent_of_budget(self, st1_1_measured):
         default = find_pull_in(st1_1_measured, SolverConfig())
@@ -327,7 +345,7 @@ class TestAitkenRelaxation:
         runner = _Runner(st1_1_measured, cfg)
         res = runner.equilibrium(voltage)
         assert res.converged
-        again = runner._structural_solve(
+        again, _ = runner._structural_solve(
             runner._load_for(res.deflection, voltage), res.deflection
         )
         tip = res.deflection.tip
@@ -365,7 +383,7 @@ def cold_pull_in(spec, cfg):
 
 
 class TestContinuation:
-    """Pull-in probes start from the last converged state."""
+    """Prescribed-tip solves start from the nearest solved state."""
 
     @pytest.mark.parametrize("sid", ["ST1-1", "ST1-6"])
     def test_field_solves_per_search(self, field2d_pull_ins, sid):
@@ -374,8 +392,12 @@ class TestContinuation:
         assert n_solves <= 85
 
     def test_field2d_bracket_equals_cold_search(self, st1_1_measured, field2d_pull_ins):
+        # the maximum of V(tip) lies in the bracket of a cold voltage search,
+        # widened by one tolerance on each side
         r, _ = field2d_pull_ins["ST1-1"]
-        assert (r.bracket_low, r.bracket_high) == cold_pull_in(st1_1_measured, FIELD2D_1V)
+        lo, hi = cold_pull_in(st1_1_measured, FIELD2D_1V)
+        tol = FIELD2D_1V.pull_in_bracket_tolerance
+        assert lo - tol <= r.pull_in_voltage <= hi + tol
 
     @pytest.mark.parametrize("mode, coupling", [
         ("nonlinear", "staggered"),
@@ -391,4 +413,89 @@ class TestContinuation:
             coupling_mode=coupling,
         )
         r = plate_brackets[mode, coupling, cfg.max_coupling_iterations]
-        assert (r.bracket_low, r.bracket_high) == cold_pull_in(st1_1_measured, cfg)
+        lo, hi = cold_pull_in(st1_1_measured, cfg)
+        tol = cfg.pull_in_bracket_tolerance
+        assert lo - tol <= r.pull_in_voltage <= hi + tol
+
+
+def _counting(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper; returns the list that grows per call."""
+    calls = []
+    fn = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(None)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+class TestDisplacementControl:
+    """Pull-in is the maximum of V over the prescribed tip deflection."""
+
+    def test_default_field2d_field_solves(self, st1_1_measured, monkeypatch):
+        # the voltage-controlled bisection took 188
+        calls = _counting(monkeypatch, electro, "solve_field2d")
+        find_pull_in(st1_1_measured, SolverConfig())
+        assert len(calls) <= 40
+
+    def test_no_equilibrium_above_bracket(self, st1_1_measured, plate_pull_in):
+        # V(tip) on a fine grid around the maximum stays below bracket_high,
+        # and reaches above bracket_low
+        runner = _Runner(st1_1_measured, PLATE)
+        gap = st1_1_measured.gap_g
+        start = plate_pull_in.deflection
+        volts = []
+        for x in np.linspace(0.40, 0.52, 25):
+            res = runner.at_tip(x * gap, start)
+            assert res.converged
+            volts.append(res.voltage)
+        assert max(volts) < plate_pull_in.bracket_high
+        assert max(volts) > plate_pull_in.bracket_low
+
+    def test_result_carries_stable_state(self, st1_1_measured, plate_pull_in):
+        r = plate_pull_in
+        assert r.deflection.tip == r.tip_displacement
+        # a voltage-controlled solve from that state stays on it
+        res = _Runner(st1_1_measured, PLATE).equilibrium(r.bracket_low, start=r.deflection)
+        assert res.converged
+        assert res.deflection.tip == pytest.approx(r.tip_displacement, rel=1e-4)
+
+    @pytest.mark.parametrize("mode", ["linear", "nonlinear"])
+    def test_catalog_staggered_agrees_with_monolithic(self, catalog, mode):
+        # the voltage-controlled search put nominal ST1-8 (nonlinear) at
+        # 779.14-779.23 V monolithic and 785.77-785.86 V staggered
+        tol = PLATE.pull_in_bracket_tolerance
+        for spec in catalog:
+            stag, mono = (
+                find_pull_in(spec, SolverConfig(
+                    structural_mode=mode,
+                    load_model=LoadModelConfig(kind="parallel_plate"),
+                    coupling_mode=coupling,
+                ))
+                for coupling in ("staggered", "monolithic")
+            )
+            label = f"{spec.id} {spec.dimension_source}"
+            assert abs(stag.pull_in_voltage - mono.pull_in_voltage) <= tol, label
+            assert abs(stag.bracket_low - mono.bracket_low) <= tol, label
+            assert abs(stag.bracket_high - mono.bracket_high) <= tol, label
+
+    def test_monolithic_structural_work(self, catalog, monkeypatch):
+        # failing voltage-controlled probes made 3901 of the 3942 calls
+        spec = select_specimen(catalog, "ST1-3", "nominal")
+        calls = _counting(monkeypatch, beam, "corotational_internal")
+        find_pull_in(spec, SolverConfig(
+            load_model=LoadModelConfig(kind="parallel_plate"), coupling_mode="monolithic",
+        ))
+        assert len(calls) <= 400
+
+    def test_cold_solve_fails_at_bracket_high(self, catalog):
+        # a warm Aitken probe overshot here and left an equilibrium at bracket_high
+        spec = select_specimen(catalog, "ST1-3", "measured")
+        cfg = SolverConfig(
+            structural_mode="linear", load_model=LoadModelConfig(kind="parallel_plate"),
+        )
+        r = find_pull_in(spec, cfg)
+        assert solve_equilibrium(spec, r.bracket_low, cfg).converged
+        assert not solve_equilibrium(spec, r.bracket_high, cfg).converged
