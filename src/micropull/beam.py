@@ -177,22 +177,25 @@ def gauss_load_values(mesh: BeamMesh, load: DistributedLoad) -> np.ndarray:
     return _evaluate_load(load, xg.ravel()).reshape(xg.shape)
 
 
-def transverse_basis_matrix(mesh: BeamMesh) -> np.ndarray:
-    """Rows map a DOF vector to v at the quadrature points.
+def transverse_load_operators(mesh: BeamMesh):
+    """(G, w, K) for a transverse load q(v) that follows the deflection.
 
-    Shape (3 * n_elements, 3 * n_nodes).  Together with the Gauss weights
-    this expresses both consistent load vectors f = G^T (w q) and
-    load-stiffness matrices G^T diag(w q') G for deflection-dependent loads.
-    """
-    n1, n2, n3, n4 = _hermite_basis(_GAUSS_XI, mesh.element_length)
-    g = np.zeros((3 * mesh.n_elements, 3 * mesh.n_nodes))
-    for e in range(mesh.n_elements):
-        rows = slice(3 * e, 3 * e + 3)
-        g[rows, 3 * e + 1] = n1
-        g[rows, 3 * e + 2] = n2
-        g[rows, 3 * e + 4] = n3
-        g[rows, 3 * e + 5] = n4
-    return g
+    The rows of G map a DOF vector to v at the quadrature points and w holds
+    their quadrature weights, so the load vector is G^T (w q); the function
+    K(c) = G^T diag(c) G, summed from 4 x 4 element blocks, gives the load
+    stiffness K(w q')."""
+    shape = np.stack(_hermite_basis(_GAUSS_XI, mesh.element_length), axis=1)  # (point, DOF)
+    dofs = 3 * np.arange(mesh.n_elements)[:, None] + np.array([1, 2, 4, 5])
+    n = 3 * mesh.n_nodes
+    g = np.zeros((3 * mesh.n_elements, n))
+    g[np.arange(len(g))[:, None], np.repeat(dofs, 3, axis=0)] = np.tile(shape, (mesh.n_elements, 1))
+    outer = (shape[:, :, None] * shape[:, None, :]).reshape(3, 16)
+    flat = (dofs[:, :, None] * n + dofs[:, None, :]).ravel()
+
+    def stiffness(c: np.ndarray) -> np.ndarray:
+        return np.bincount(flat, (c.reshape(-1, 3) @ outer).ravel(), n * n).reshape(n, n)
+
+    return g, np.tile(mesh.gauss_weights(), mesh.n_elements), stiffness
 
 
 def consistent_load_vector(
@@ -399,63 +402,76 @@ def newton_step(k_full: np.ndarray, res: np.ndarray, load: np.ndarray, tip_gap=N
 
 def newton_solve(
     mesh: BeamMesh,
-    f_ext: np.ndarray,
+    f_ext: np.ndarray | Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     start: np.ndarray | None = None,
     residual_tol: float = 1e-10,
     max_iterations: int = 30,
     tip: float | None = None,
+    k0: np.ndarray | None = None,
 ):
-    """Full Newton iteration on the corotational residual lam f_ext - f_int.
+    """Full Newton iteration on the residual lam f_ext - f_int.
 
-    Returns (dofs, residual_history, converged, lam).  ``f_ext`` and the
-    state use the (u, v, theta) layout including the clamped node.  The
-    load factor lam is 1 unless ``tip`` is given; then the tip deflection is
-    prescribed and lam is solved for by bordered Newton steps.
+    Returns (dofs, residual_history, converged, lam), in the (u, v, theta)
+    layout including the clamped node.  ``f_ext`` is a load vector, or a
+    function of the state returning the load vector and its load stiffness,
+    which enters the Jacobian as K_t - lam K_load; the structure is
+    corotational, or linear (f_int = k0 d) when ``k0`` is given.  lam is 1
+    unless ``tip`` is given; then the tip deflection is prescribed and lam
+    solved for by bordered Newton steps.  Steps are capped at 0.2 gap
+    transverse under a state-dependent load, else at 0.5 rad and 0.3 L; the
+    solve diverges when the residual tops 100 times the first nonzero one
+    after 5 iterations.
     """
-    n_dof = 3 * mesh.n_nodes
-    d = np.zeros(n_dof) if start is None else np.array(start, dtype=float)
+    d = np.zeros(3 * mesh.n_nodes) if start is None else np.array(start, dtype=float)
     lam = 1.0 if tip is None else 0.0
-    ref = np.linalg.norm(f_ext[3:])
-    length_cap = 0.3 * mesh.specimen.length_l
+    load_at = f_ext if callable(f_ext) else None
+    if load_at is None:
+        caps = ((np.s_[2::3], 0.5), (np.arange(d.size) % 3 != 2, 0.3 * mesh.specimen.length_l))
+    else:
+        caps = ((np.s_[1::3], 0.2 * mesh.specimen.gap_g),)
     history: list[float] = []
 
     for it in range(max_iterations + 1):
-        try:
-            f_int, k_t, max_local = corotational_internal(mesh, d)
-        except ConvergenceError:
-            return d, history, False, lam
-        res = lam * f_ext - f_int
+        if load_at is not None:
+            f_ext, k_load = load_at(d)
+        if k0 is None:
+            try:
+                f_int, k_t, max_local = corotational_internal(mesh, d)
+            except ConvergenceError:
+                return d, history, False, lam
+            noise = assembly_noise_floor(mesh, d)
+        else:
+            f_int, k_t, max_local = k0 @ d, k0, 0.0
+            # matvec roundoff bound for the K d internal force
+            noise = 4.0 * np.finfo(float).eps * float(np.linalg.norm(np.abs(k0) @ np.abs(d)))
+        f_lam = lam * f_ext
+        res = f_lam - f_int
         res[:3] = 0.0
         rn = float(np.linalg.norm(res))
         history.append(rn)
         tip_gap = None if tip is None else tip - d[-2]
-        floor = residual_tol * max(abs(lam) * ref, 1e-30) + assembly_noise_floor(mesh, d)
+        floor = residual_tol * max(float(np.linalg.norm(f_lam[3:])), 1e-30) + noise
         if rn <= floor and (tip_gap is None or abs(tip_gap) <= 1e-12 * abs(tip)):
             return d, history, True, lam
         if not np.isfinite(rn) or max_local > _MAX_LOCAL_ROTATION:
             return d, history, False, lam
         # a zero start (prescribed tip) has a zero first residual
-        if it >= 4 and rn > 10.0 * (history[0] or history[1]):
+        if it == max_iterations or it >= 5 and rn > 100.0 * (history[0] or history[1]):
             return d, history, False, lam
-        if it == max_iterations:
-            return d, history, False, lam
+        jac = k_t if load_at is None else k_t - lam * k_load
         try:
-            step, dlam = newton_step(k_t, res, f_ext, tip_gap)
+            step, dlam = newton_step(jac, res, f_ext, tip_gap)
         except np.linalg.LinAlgError:
             return d, history, False, lam
         if not np.all(np.isfinite(step)):
             return d, history, False, lam
-        # keep individual updates inside the frame's validity
         scale = 1.0
-        max_rot = float(np.max(np.abs(step[2::3]))) if n_dof else 0.0
-        max_tr = float(np.max(np.abs(np.concatenate([step[0::3], step[1::3]]))))
-        if max_rot > 0.5:
-            scale = min(scale, 0.5 / max_rot)
-        if max_tr > length_cap:
-            scale = min(scale, length_cap / max_tr)
+        for part, cap in caps:
+            largest = float(np.max(np.abs(step[part])))
+            if largest > cap:
+                scale = min(scale, cap / largest)
         d = d + scale * step
         lam += scale * dlam
-    return d, history, False, lam
 
 
 def solve_nonlinear(

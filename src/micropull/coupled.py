@@ -6,9 +6,10 @@ Two coupling modes solve the same discrete problem:
   deflection with a structural solve under that frozen load, until the tip
   displacement settles.  Each update is scaled by an Aitken dynamic
   relaxation factor (Irons & Tuck 1969; Kuettler & Wall 2008) that starts
-  at, and never falls below, ``SolverConfig.relaxation``;
-* monolithic (parallel-plate load only): Newton iteration on the combined
-  structure/electrostatics residual, with the analytic load-softening term
+  at, and never falls below, 1;
+* monolithic (parallel-plate load only): ``beam.newton_solve`` on the
+  combined structure/electrostatics residual, with the plate load as a
+  function of the deflection and its analytic load-softening term
   d q / d v in the Jacobian.
 
 Pull-in is the maximum of the equilibrium voltage over the tip deflection.
@@ -59,7 +60,6 @@ class SolverConfig:
     coupling_mode: str = STAGGERED
     coupling_tolerance: float = 1e-6  # relative tip (or V^2) change
     max_coupling_iterations: int = 100
-    relaxation: float = 1.0  # Aitken's starting and minimum factor
     pull_in_bracket_tolerance: float = 0.1  # volts
     n_elements: int = 40
     voltage_cap: float = 10_000.0  # pull-in search gives up above this
@@ -75,8 +75,6 @@ class SolverConfig:
             raise ValueError("coupling_tolerance must be positive")
         if not self.pull_in_bracket_tolerance > 0.0:
             raise ValueError("pull_in_bracket_tolerance must be positive")
-        if not 0.0 < self.relaxation <= 1.0:
-            raise ValueError("relaxation must be in (0, 1]")
         if self.max_coupling_iterations < 1:
             raise ValueError("max_coupling_iterations must be at least 1")
         if self.n_elements < beam.MIN_ELEMENTS:
@@ -160,8 +158,8 @@ class _Runner:
         return beam.LinearBeamOperator(self.mesh)
 
     @cached_property
-    def load_basis(self) -> np.ndarray:
-        return beam.transverse_basis_matrix(self.mesh)
+    def load_operators(self):
+        return beam.transverse_load_operators(self.mesh)
 
     # -- load construction -------------------------------------------------
 
@@ -211,7 +209,7 @@ class _Runner:
         cfg = self.cfg
         fld = start if start is not None else beam.zero_field(self.mesh)
         prev = fld  # the iterate before fld, still short of the electrode
-        omega = cfg.relaxation
+        omega = 1.0
         floor = 1e-12 * self.spec.gap_g
         settled = fld.tip if tip is None else math.inf
         r_prev: np.ndarray | None = None
@@ -227,14 +225,14 @@ class _Runner:
             except ConvergenceError:
                 return EquilibriumResult(fld, False, it, voltage, "structural divergence")
             # Aitken dynamic relaxation on the transverse residual, floored
-            # at cfg.relaxation: the plain map climbs monotonically to the
-            # stable branch, so Aitken may extrapolate but never damp
+            # at 1: the plain map climbs monotonically to the stable
+            # branch, so Aitken may extrapolate but never damp
             r = solved.deflection - fld.deflection
             if r_prev is not None:
                 dr = r - r_prev
                 dr_sq = float(dr @ dr)
                 if dr_sq > 0.0:
-                    omega = max(cfg.relaxation, -omega * float(r_prev @ dr) / dr_sq)
+                    omega = max(1.0, -omega * float(r_prev @ dr) / dr_sq)
             r_prev = r
             relaxed = beam.DeflectionField(
                 self.mesh, fld.dofs + omega * (solved.dofs - fld.dofs)
@@ -255,88 +253,42 @@ class _Runner:
         fld = start if start is not None else beam.zero_field(self.mesh)
         total_iters = 0
         for substeps in (1, 2, 4, 8, 16, 32):
-            d = fld.dofs
-            ok = True
-            reason = None
+            res = EquilibriumResult(fld, True, 0, 0.0)
             for k in range(1, substeps + 1):
-                d, _, iters, ok, reason = self._monolithic_newton(
-                    d, (voltage * (k / substeps)) ** 2
-                )
-                total_iters += iters
-                if not ok:
+                res = self._plate_newton(res.deflection, voltage * (k / substeps))
+                total_iters += res.iterations
+                if not res.converged:
                     break
-            if ok:
-                return EquilibriumResult(
-                    beam.DeflectionField(self.mesh, d), True, total_iters, voltage
-                )
-        return EquilibriumResult(
-            fld, False, total_iters, voltage, reason or "newton divergence"
-        )
+            if res.converged:
+                return EquilibriumResult(res.deflection, True, total_iters, voltage)
+        return EquilibriumResult(fld, False, total_iters, voltage, res.failure_reason)
 
-    def _monolithic_newton(self, d: np.ndarray, lam: float, tip: float | None = None):
-        """Newton at lam = V^2, or with ``tip`` prescribed and lam unknown
-        (bordered); returns (d, lam, iters, ok, reason)."""
-        cfg = self.cfg
-        spec = self.spec
-        g_mat = self.load_basis
-        weights = np.tile(self.mesh.gauss_weights(), self.mesh.n_elements)
-        gap0 = spec.gap_g
-        f_coeff = cfg.load_model.fringing_coefficient
-        w = spec.width_w
-        scale = 0.5 * electro.VACUUM_PERMITTIVITY * w  # the 1 V load
-        dq_dv = electro.plate_load_derivative(spec, 1.0, f_coeff)
+    def _plate_newton(
+        self, start: beam.DeflectionField, voltage: float, tip: float | None = None
+    ) -> EquilibriumResult:
+        """``beam.newton_solve`` under the plate load of ``voltage`` as it
+        follows the deflection, or under lam times it with ``tip`` prescribed;
+        iterations count the load evaluations."""
+        spec, (g_mat, weights, stiffness) = self.spec, self.load_operators
+        f_coeff = self.cfg.load_model.fringing_coefficient
+        dq_dv = electro.plate_load_derivative(spec, voltage, f_coeff)
+        evals = 0
 
-        max_iter = 50
-        r0 = None
-        for it in range(1, max_iter + 1):
+        def load(d: np.ndarray):
+            nonlocal evals
+            evals += 1
             v_pts = g_mat @ d
-            if not np.all(np.isfinite(v_pts)):
-                return d, lam, it, False, "newton divergence"
-            gap = gap0 - v_pts
-            if np.any(gap <= 0.0):
-                return d, lam, it, False, "gap closure"
-            f_unit = g_mat.T @ (weights * (scale / gap**2 * (1.0 + f_coeff * gap / w)))
-            f_es = lam * f_unit
-            if cfg.structural_mode == LINEAR:
-                k_t = self.linear_op.k0
-                f_int = k_t @ d
-                # matvec roundoff bound for the K d internal force
-                noise = 4.0 * np.finfo(float).eps * float(
-                    np.linalg.norm(np.abs(k_t) @ np.abs(d))
-                )
-            else:
-                try:
-                    f_int, k_t, max_local = beam.corotational_internal(self.mesh, d)
-                except ConvergenceError:
-                    return d, lam, it, False, "newton divergence"
-                if max_local > 1.4:
-                    return d, lam, it, False, "newton divergence"
-                noise = beam.assembly_noise_floor(self.mesh, d)
-            res = f_es - f_int
-            res[:3] = 0.0
-            rn = float(np.linalg.norm(res))
-            ref = max(float(np.linalg.norm(f_es[3:])), 1e-30)
-            tip_gap = None if tip is None else tip - d[-2]
-            pinned = tip_gap is None or abs(tip_gap) <= 1e-12 * abs(tip)
-            if rn <= 1e-10 * ref + noise and pinned:
-                return d, lam, it, True, None
-            if not np.isfinite(rn):
-                return d, lam, it, False, "newton divergence"
-            r0 = r0 or rn  # a zero start (prescribed tip) has a zero first residual
-            if it > 5 and rn > 100.0 * r0:
-                return d, lam, it, False, "newton divergence"
-            jac = k_t - lam * g_mat.T @ ((weights * dq_dv(v_pts))[:, None] * g_mat)
-            try:
-                step, dlam = beam.newton_step(jac, res, f_unit, tip_gap)
-            except np.linalg.LinAlgError:
-                return d, lam, it, False, "newton divergence"
-            if not np.all(np.isfinite(step)):
-                return d, lam, it, False, "newton divergence"
-            max_dv = float(np.max(np.abs(step[1::3])))
-            factor = min(1.0, 0.2 * gap0 / max_dv) if max_dv > 0 else 1.0
-            d = d + factor * step
-            lam += factor * dlam
-        return d, lam, max_iter, False, "newton divergence"
+            q = electro.plate_load_on_gap(spec, spec.gap_g - v_pts, voltage, f_coeff)
+            return g_mat.T @ (weights * q), stiffness(weights * dq_dv(v_pts))
+
+        k0 = self.linear_op.k0 if self.cfg.structural_mode == LINEAR else None
+        try:
+            d, _, ok, lam = beam.newton_solve(self.mesh, load, start.dofs, tip=tip, k0=k0)
+        except GapClosureError:
+            return EquilibriumResult(start, False, evals, voltage, "gap closure")
+        found = voltage if tip is None else voltage * math.sqrt(max(lam, 0.0))
+        reason = None if ok else "newton divergence"
+        return EquilibriumResult(beam.DeflectionField(self.mesh, d), ok, evals, found, reason)
 
     def at_tip(self, tip: float, start: beam.DeflectionField) -> EquilibriumResult:
         """Equilibrium at a prescribed tip, V unknown; ``start`` is scaled to it."""
@@ -344,10 +296,7 @@ class _Runner:
             start = beam.DeflectionField(self.mesh, start.dofs * (tip / start.tip))
         if self.cfg.coupling_mode == STAGGERED:
             return self._staggered(math.nan, start, tip)
-        d, lam, iters, ok, reason = self._monolithic_newton(start.dofs, 0.0, tip)
-        return EquilibriumResult(
-            beam.DeflectionField(self.mesh, d), ok, iters, math.sqrt(max(lam, 0.0)), reason
-        )
+        return self._plate_newton(start, 1.0, tip)
 
 
 def solve_equilibrium(

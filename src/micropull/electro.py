@@ -136,18 +136,23 @@ def plate_load(
     """
     v_of_x = _deflection_callable(deflection)
     _check_gap_open(spec, v_of_x)
-    g = spec.gap_g
-    w = spec.width_w
-    f = fringing_coefficient
-    scale = 0.5 * VACUUM_PERMITTIVITY * w * voltage**2
 
     def q(x: np.ndarray) -> np.ndarray:
-        gap = g - np.asarray(v_of_x(x), dtype=float)
-        if np.any(gap <= 0.0):
-            raise GapClosureError("gap closed during load evaluation")
-        return scale / gap**2 * (1.0 + f * gap / w)
+        gap = spec.gap_g - np.asarray(v_of_x(x), dtype=float)
+        return plate_load_on_gap(spec, gap, voltage, fringing_coefficient)
 
     return q
+
+
+def plate_load_on_gap(spec: Specimen, gap, voltage: float, fringing_coefficient: float):
+    """The ``plate_load`` line load on an array of local gaps; raises
+    GapClosureError where a gap is closed."""
+    if np.any(gap <= 0.0):
+        raise GapClosureError("gap closed during load evaluation")
+    w = spec.width_w
+    return 0.5 * VACUUM_PERMITTIVITY * w * voltage**2 / gap**2 * (
+        1.0 + fringing_coefficient * gap / w
+    )
 
 
 def plate_load_derivative(

@@ -293,3 +293,52 @@ class TestDeflectionField:
         mesh = build_mesh(st1_1_measured, 8)
         with pytest.raises(ValueError, match="dofs"):
             beam.DeflectionField(mesh, np.zeros(2 * mesh.n_nodes))
+
+
+class TestTransverseLoadOperators:
+    def test_basis_samples_field_and_assembles_load_vector(self, st1_1_measured):
+        mesh = build_mesh(st1_1_measured, 12)
+        g, w, _ = beam.transverse_load_operators(mesh)
+        d = np.random.default_rng(3).normal(size=3 * mesh.n_nodes) * 1e-7
+        d[:3] = 0.0
+        xg = mesh.gauss_points().ravel()
+        fld = beam.DeflectionField(mesh, d)
+        assert g @ d == pytest.approx(fld.evaluate(xg), rel=1e-12, abs=1e-20)
+
+        def q(x):
+            return 1e-3 * (1.0 + x / mesh.specimen.length_l) ** 2
+
+        assert g.T @ (w * q(xg)) == pytest.approx(
+            beam.consistent_load_vector(mesh, q), rel=1e-12, abs=1e-20
+        )
+
+    def test_load_stiffness_is_dense_product(self, st1_1_measured):
+        mesh = build_mesh(st1_1_measured, 12)
+        g, _, stiffness = beam.transverse_load_operators(mesh)
+        c = np.random.default_rng(5).uniform(0.5, 2.0, size=len(g))
+        k = stiffness(c)
+        dense = g.T @ (c[:, None] * g)
+        np.testing.assert_allclose(k, dense, rtol=0.0, atol=1e-15 * np.abs(dense).max())
+        assert np.array_equal(k, k.T)
+
+    def test_newton_with_affine_state_dependent_load(self, st1_1_measured):
+        # q = q0 + kappa v is affine in the state, so K_t - K_load is the
+        # exact Jacobian of the linear structure and one step solves it
+        mesh = build_mesh(st1_1_measured, 20)
+        g, w, stiffness = beam.transverse_load_operators(mesh)
+        k0 = beam.LinearBeamOperator(mesh).k0
+        length = mesh.specimen.length_l
+        q0, kappa = 1e-3, 0.5 * mesh.bending_rigidity * (1.875 / length) ** 4
+        k_load = stiffness(kappa * w)
+
+        def load(d):
+            return g.T @ (w * (q0 + kappa * (g @ d))), k_load
+
+        d, history, ok, lam = beam.newton_solve(mesh, load, k0=k0)
+        assert ok and lam == 1.0
+        assert len(history) == 2
+        f0 = g.T @ (w * np.full(len(w), q0))
+        expected = np.linalg.solve((k0 - k_load)[3:, 3:], f0[3:])
+        np.testing.assert_allclose(
+            d[3:], expected, rtol=1e-9, atol=1e-12 * np.abs(expected).max()
+        )

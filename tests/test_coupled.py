@@ -45,8 +45,6 @@ class TestConfig:
         {"structural_mode": "elastic"},
         {"coupling_mode": "simultaneous"},
         {"coupling_tolerance": 0.0},
-        {"relaxation": 0.0},
-        {"relaxation": 1.5},
         {"pull_in_bracket_tolerance": -1.0},
         {"n_elements": 2},
     ])
@@ -431,6 +429,27 @@ def _counting(monkeypatch, owner, name):
     return calls
 
 
+def _plate_config(mode, coupling):
+    return SolverConfig(
+        structural_mode=mode,
+        load_model=LoadModelConfig(kind="parallel_plate"),
+        coupling_mode=coupling,
+    )
+
+
+@pytest.fixture(scope="module")
+def catalog_plate_pull_ins(catalog):
+    """Plate-load pull-ins of every catalog specimen by (label, mode, coupling)."""
+    return {
+        (f"{spec.id} {spec.dimension_source}", mode, coupling): (
+            find_pull_in(spec, _plate_config(mode, coupling))
+        )
+        for spec in catalog
+        for mode in ("linear", "nonlinear")
+        for coupling in ("staggered", "monolithic")
+    }
+
+
 class TestDisplacementControl:
     """Pull-in is the maximum of V over the prescribed tip deflection."""
 
@@ -463,23 +482,29 @@ class TestDisplacementControl:
         assert res.deflection.tip == pytest.approx(r.tip_displacement, rel=1e-4)
 
     @pytest.mark.parametrize("mode", ["linear", "nonlinear"])
-    def test_catalog_staggered_agrees_with_monolithic(self, catalog, mode):
+    def test_catalog_staggered_agrees_with_monolithic(self, catalog_plate_pull_ins, mode):
         # the voltage-controlled search put nominal ST1-8 (nonlinear) at
         # 779.14-779.23 V monolithic and 785.77-785.86 V staggered
         tol = PLATE.pull_in_bracket_tolerance
-        for spec in catalog:
+        for label in sorted({key[0] for key in catalog_plate_pull_ins}):
             stag, mono = (
-                find_pull_in(spec, SolverConfig(
-                    structural_mode=mode,
-                    load_model=LoadModelConfig(kind="parallel_plate"),
-                    coupling_mode=coupling,
-                ))
+                catalog_plate_pull_ins[label, mode, coupling]
                 for coupling in ("staggered", "monolithic")
             )
-            label = f"{spec.id} {spec.dimension_source}"
             assert abs(stag.pull_in_voltage - mono.pull_in_voltage) <= tol, label
             assert abs(stag.bracket_low - mono.bracket_low) <= tol, label
             assert abs(stag.bracket_high - mono.bracket_high) <= tol, label
+
+    @pytest.mark.parametrize("mode", ["linear", "nonlinear"])
+    def test_cold_monolithic_solve_below_pull_in(self, catalog, catalog_plate_pull_ins, mode):
+        # Newton's divergence guard must let a cold solve climb to just
+        # below pull-in; stopping at 10 times the first residual after 4
+        # iterations lost nominal ST1-8 (nonlinear) here
+        for spec in catalog:
+            label = f"{spec.id} {spec.dimension_source}"
+            r = catalog_plate_pull_ins[label, mode, "monolithic"]
+            res = solve_equilibrium(spec, 0.99 * r.bracket_low, _plate_config(mode, "monolithic"))
+            assert res.converged, label
 
     def test_monolithic_structural_work(self, catalog, monkeypatch):
         # failing voltage-controlled probes made 3901 of the 3942 calls
