@@ -47,6 +47,8 @@ class TestConfig:
         {"coupling_tolerance": 0.0},
         {"pull_in_bracket_tolerance": -1.0},
         {"n_elements": 2},
+        {"max_coupling_iterations": 0},
+        {"voltage_cap": 0.0},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
