@@ -49,7 +49,7 @@ _GAUSS_XI = np.array([0.5 - _G, 0.5, 0.5 + _G])
 _GAUSS_W = np.array([5.0, 8.0, 5.0]) / 18.0
 
 # Local rotations beyond this are outside the corotational frame's validity;
-# treated as iteration divergence so the caller can re-try with increments.
+# a Newton iterate that reaches them counts as diverged.
 _MAX_LOCAL_ROTATION = 1.4
 
 
@@ -418,9 +418,11 @@ def newton_solve(
     corotational, or linear (f_int = k0 d) when ``k0`` is given.  lam is 1
     unless ``tip`` is given; then the tip deflection is prescribed and lam
     solved for by bordered Newton steps.  Steps are capped at 0.2 gap
-    transverse under a state-dependent load, else at 0.5 rad and 0.3 L; the
-    solve diverges when the residual tops 100 times the first nonzero one
-    after 5 iterations.
+    transverse under a state-dependent load, else at 0.5 rad and 0.3 L.
+    The solve fails after ``max_iterations`` steps, on a non-finite residual
+    or step, a singular tangent or a local rotation beyond the corotational
+    frame's range, but not on a growing residual: the corotational one can
+    alternate by orders of magnitude while it converges.
     """
     d = np.zeros(3 * mesh.n_nodes) if start is None else np.array(start, dtype=float)
     lam = 1.0 if tip is None else 0.0
@@ -453,10 +455,7 @@ def newton_solve(
         floor = residual_tol * max(float(np.linalg.norm(f_lam[3:])), 1e-30) + noise
         if rn <= floor and (tip_gap is None or abs(tip_gap) <= 1e-12 * abs(tip)):
             return d, history, True, lam
-        if not np.isfinite(rn) or max_local > _MAX_LOCAL_ROTATION:
-            return d, history, False, lam
-        # a zero start (prescribed tip) has a zero first residual
-        if it == max_iterations or it >= 5 and rn > 100.0 * (history[0] or history[1]):
+        if it == max_iterations or not np.isfinite(rn) or max_local > _MAX_LOCAL_ROTATION:
             return d, history, False, lam
         jac = k_t if load_at is None else k_t - lam * k_load
         try:

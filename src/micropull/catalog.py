@@ -14,6 +14,7 @@ field names of the specimen file format.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping
 
@@ -45,8 +46,10 @@ class Material:
     label: str = field(default="", compare=False)
 
     def __post_init__(self) -> None:
-        if not self.young_modulus > 0.0:
-            raise ValueError(f"young_modulus must be > 0 (got {self.young_modulus})")
+        if not 0.0 < self.young_modulus < math.inf:
+            raise ValueError(
+                f"young_modulus must be positive and finite (got {self.young_modulus})"
+            )
         if not 0.0 <= self.poisson_ratio < 0.5:
             raise ValueError(f"poisson_ratio must be in [0, 0.5) (got {self.poisson_ratio})")
 
@@ -73,8 +76,9 @@ class Specimen:
 
     def __post_init__(self) -> None:
         for name in ("length_l", "width_w", "thickness_t", "gap_g"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be strictly positive (got {getattr(self, name)})")
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite (got {value})")
         if not self.thickness_t < self.length_l:
             raise ValueError(
                 f"thickness_t must be smaller than length_l for a cantilever "

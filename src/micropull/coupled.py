@@ -20,7 +20,8 @@ of a structural solve with the tip pinned, bordered as in Keller (1977).
 A prescribed tip has an equilibrium on both sides of the fold, so no solve
 runs where none exists, and the result does not depend on an iteration
 budget.  Voltage sweeps stay voltage-controlled, each point starting from
-the previous one.
+the previous one.  Nothing is retried: every equilibrium is one coupling
+loop or one Newton solve from its start.
 """
 
 from __future__ import annotations
@@ -71,10 +72,9 @@ class SolverConfig:
             raise ValueError(f"coupling_mode must be one of {_COUPLING_MODES}")
         if self.coupling_mode == MONOLITHIC and self.load_model.kind != electro.PARALLEL_PLATE:
             raise ValueError("monolithic coupling supports the parallel_plate load model only")
-        if not self.coupling_tolerance > 0.0:
-            raise ValueError("coupling_tolerance must be positive")
-        if not self.pull_in_bracket_tolerance > 0.0:
-            raise ValueError("pull_in_bracket_tolerance must be positive")
+        for name in ("coupling_tolerance", "pull_in_bracket_tolerance"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if self.max_coupling_iterations < 1:
             raise ValueError("max_coupling_iterations must be at least 1")
         if self.n_elements < beam.MIN_ELEMENTS:
@@ -177,7 +177,7 @@ class _Runner:
     ) -> EquilibriumResult:
         started = time.perf_counter()
         solve = self._staggered if self.cfg.coupling_mode == STAGGERED else self._monolithic
-        result = solve(voltage, start)
+        result = solve(voltage, start if start is not None else beam.zero_field(self.mesh))
         logger.debug(
             "equilibrium V=%.4f: converged=%s iters=%d (%.1f ms)",
             voltage, result.converged, result.iterations,
@@ -194,21 +194,17 @@ class _Runner:
             return beam.DeflectionField(self.mesh, lam * solved.dofs), lam
         f_ext = beam.consistent_load_vector(self.mesh, load)
         d, _, ok, lam = beam.newton_solve(self.mesh, f_ext, start=warm.dofs, tip=tip)
-        if ok:
-            return beam.DeflectionField(self.mesh, d), lam
-        if tip is not None:
-            raise ConvergenceError("bordered Newton solve did not converge")
-        # warm start led Newton astray; retry with automatic load increments
-        return beam.solve_nonlinear(self.mesh, load), 1.0
+        if not ok:
+            raise ConvergenceError("structural Newton solve did not converge")
+        return beam.DeflectionField(self.mesh, d), lam
 
     def _staggered(
-        self, voltage: float, start: beam.DeflectionField | None, tip: float | None = None
+        self, voltage: float, start: beam.DeflectionField, tip: float | None = None
     ) -> EquilibriumResult:
         """Load and structural solves until the tip settles, or with ``tip``
-        pinned (``voltage`` unknown) until lam = V^2 settles."""
+        pinned under lam times the load of ``voltage`` until lam settles."""
         cfg = self.cfg
-        fld = start if start is not None else beam.zero_field(self.mesh)
-        prev = fld  # the iterate before fld, still short of the electrode
+        fld = prev = start  # prev: the iterate before fld, short of the electrode
         omega = 1.0
         floor = 1e-12 * self.spec.gap_g
         settled = fld.tip if tip is None else math.inf
@@ -216,7 +212,7 @@ class _Runner:
 
         for it in range(1, cfg.max_coupling_iterations + 1):
             try:
-                load = self._load_for(fld, voltage if tip is None else 1.0)
+                load = self._load_for(fld, voltage)
                 solved, lam = self._structural_solve(load, fld, tip)
             except GapClosureError:
                 # fld reaches through the counter-electrode; report the
@@ -239,7 +235,7 @@ class _Runner:
             )
             now = relaxed.tip if tip is None else lam
             if abs(now - settled) <= cfg.coupling_tolerance * max(abs(now), floor):
-                found = voltage if tip is None else math.sqrt(lam)
+                found = voltage if tip is None else voltage * math.sqrt(lam)
                 return EquilibriumResult(relaxed, True, it, found)
             prev, fld = fld, relaxed
             settled = now
@@ -248,27 +244,11 @@ class _Runner:
         )
 
     def _monolithic(
-        self, voltage: float, start: beam.DeflectionField | None
-    ) -> EquilibriumResult:
-        fld = start if start is not None else beam.zero_field(self.mesh)
-        total_iters = 0
-        for substeps in (1, 2, 4, 8, 16, 32):
-            res = EquilibriumResult(fld, True, 0, 0.0)
-            for k in range(1, substeps + 1):
-                res = self._plate_newton(res.deflection, voltage * (k / substeps))
-                total_iters += res.iterations
-                if not res.converged:
-                    break
-            if res.converged:
-                return EquilibriumResult(res.deflection, True, total_iters, voltage)
-        return EquilibriumResult(fld, False, total_iters, voltage, res.failure_reason)
-
-    def _plate_newton(
-        self, start: beam.DeflectionField, voltage: float, tip: float | None = None
+        self, voltage: float, start: beam.DeflectionField, tip: float | None = None
     ) -> EquilibriumResult:
         """``beam.newton_solve`` under the plate load of ``voltage`` as it
         follows the deflection, or under lam times it with ``tip`` prescribed;
-        iterations count the load evaluations."""
+        iterations count the load evaluations, and a failure reports ``start``."""
         spec, (g_mat, weights, stiffness) = self.spec, self.load_operators
         f_coeff = self.cfg.load_model.fringing_coefficient
         dq_dv = electro.plate_load_derivative(spec, voltage, f_coeff)
@@ -286,25 +266,25 @@ class _Runner:
             d, _, ok, lam = beam.newton_solve(self.mesh, load, start.dofs, tip=tip, k0=k0)
         except GapClosureError:
             return EquilibriumResult(start, False, evals, voltage, "gap closure")
+        if not ok:
+            return EquilibriumResult(start, False, evals, voltage, "newton divergence")
         found = voltage if tip is None else voltage * math.sqrt(max(lam, 0.0))
-        reason = None if ok else "newton divergence"
-        return EquilibriumResult(beam.DeflectionField(self.mesh, d), ok, evals, found, reason)
+        return EquilibriumResult(beam.DeflectionField(self.mesh, d), True, evals, found)
 
     def at_tip(self, tip: float, start: beam.DeflectionField) -> EquilibriumResult:
         """Equilibrium at a prescribed tip, V unknown; ``start`` is scaled to it."""
         if start.tip > 0.0:
             start = beam.DeflectionField(self.mesh, start.dofs * (tip / start.tip))
-        if self.cfg.coupling_mode == STAGGERED:
-            return self._staggered(math.nan, start, tip)
-        return self._plate_newton(start, 1.0, tip)
+        solve = self._staggered if self.cfg.coupling_mode == STAGGERED else self._monolithic
+        return solve(1.0, start, tip)
 
 
 def solve_equilibrium(
     spec: Specimen, voltage: float, config: SolverConfig | None = None
 ) -> EquilibriumResult:
     """Coupled equilibrium at a fixed voltage, from a cold start."""
-    if voltage < 0.0:
-        raise ValueError("voltage must be non-negative")
+    if not 0.0 <= voltage < math.inf:
+        raise ValueError(f"voltage must be non-negative and finite (got {voltage})")
     cfg = config or SolverConfig()
     return _Runner(spec, cfg).equilibrium(voltage)
 
@@ -387,8 +367,8 @@ def voltage_sweep(
     the sweep stops at the first non-converged point and, when that
     happens, adds the PullInResult of the search ``find_pull_in`` runs.
     """
-    if not v_max > 0.0:
-        raise ValueError("v_max must be positive")
+    if not 0.0 < v_max < math.inf:
+        raise ValueError(f"v_max must be positive and finite (got {v_max})")
     if n_steps < 2:
         raise ValueError("n_steps must be at least 2")
     cfg = config or SolverConfig()

@@ -75,8 +75,8 @@ class LoadModelConfig:
             raise ValueError("cells_across_gap must be at least 8")
         if self.cells_along_beam < 40:
             raise ValueError("cells_along_beam must be at least 40")
-        if self.tip_extension_gaps < 0.0:
-            raise ValueError("tip_extension_gaps must be non-negative")
+        if not 0.0 <= self.tip_extension_gaps < np.inf:
+            raise ValueError("tip_extension_gaps must be finite and non-negative")
         if not 0.0 < self.face_probe_fraction <= 0.25:
             raise ValueError("face_probe_fraction must be in (0, 0.25]")
 

@@ -1,6 +1,7 @@
 """Specimen catalog: built-in data, aspect ratios, classification, file I/O."""
 
 import json
+import math
 
 import pytest
 from hypothesis import given, strategies as st
@@ -165,10 +166,21 @@ class TestClassification:
 
 class TestInvariants:
     def test_material_rejects_bad_values(self):
-        with pytest.raises(ValueError, match="young_modulus"):
-            Material(young_modulus=0.0, poisson_ratio=0.2)
+        for modulus in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="young_modulus"):
+                Material(young_modulus=modulus, poisson_ratio=0.2)
         with pytest.raises(ValueError, match="poisson_ratio"):
             Material(young_modulus=1e9, poisson_ratio=0.5)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("name", ["length_l", "width_w", "thickness_t", "gap_g"])
+    def test_specimen_rejects_non_finite_dimension(self, name, value):
+        dims = {"length_l": 1e-4, "width_w": 1e-5, "thickness_t": 1e-6, "gap_g": 1e-5}
+        dims[name] = value
+        with pytest.raises(ValueError, match=name):
+            Specimen(
+                id="bad", material=Material(1e9, 0.2), dimension_source="nominal", **dims,
+            )
 
     def test_specimen_rejects_nonpositive_dimension(self):
         with pytest.raises(ValueError, match="thickness_t"):

@@ -298,6 +298,23 @@ class TestExitCodes:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("micropull: error: ")
 
+    @pytest.mark.parametrize("command", [("analytic",), ("pullin", "--load", "plate")])
+    def test_non_finite_specimen_file_is_file_error(self, capsys, tmp_path, command):
+        rigid = tmp_path / "rigid.json"
+        rigid.write_text(json.dumps({"specimens": [{
+            "id": "rigid", "length_um": 200.0, "width_um": 15.0,
+            "thickness_um": 2.0, "gap_um": 5.0,
+            "young_modulus_gpa": float("inf"), "poisson_ratio": 0.23,
+            "dimension_source": "nominal",
+        }]}))
+        assert "Infinity" in rigid.read_text()
+        code = run([*command, "--file", str(rigid), "--id", "rigid"])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("micropull: file error: ")
+
     def test_no_pull_in_is_exit_3(self, capsys, tmp_path):
         stiff = tmp_path / "stiff.json"
         stiff.write_text(json.dumps({"specimens": [{

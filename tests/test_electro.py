@@ -39,6 +39,8 @@ class TestLoadModelConfig:
         {"cells_along_beam": 39},
         {"tip_extension_gaps": -1.0},
         {"face_probe_fraction": 0.0},
+        {"tip_extension_gaps": float("nan")},
+        {"tip_extension_gaps": float("inf")},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
