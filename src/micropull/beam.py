@@ -10,8 +10,10 @@ The large-rotation model wraps the elements' local bending behaviour in a
 corotational frame per element: the element's rigid rotation is removed
 via its current chord, local deformations (elongation and two
 chord-relative end rotations) stay small, and the global residual is
-solved by full Newton iteration with automatic load incrementation.  For a
-free-ended cantilever the axial strain stays near zero.
+solved by full Newton iteration.  For a free-ended cantilever the axial
+strain stays near zero.  Every tangent is assembled straight into LAPACK
+band storage: row ``5 + i - j`` of an (11, n) array holds K[i, j], as a
+node's three DOFs couple only to its neighbours'.
 
 The small-displacement model is the same element's tangent at rest: at
 d = 0 the corotational tangent K_t(0) is the classical Euler-Bernoulli
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -51,6 +54,19 @@ _GAUSS_W = np.array([5.0, 8.0, 5.0]) / 18.0
 # Local rotations beyond this are outside the corotational frame's validity;
 # a Newton iterate that reaches them counts as diverged.
 _MAX_LOCAL_ROTATION = 1.4
+
+_HALF_BAND = 5  # of the tangents in band storage
+_BAND_ROWS = 2 * _HALF_BAND + 1
+_CLAMPED = np.tri(_HALF_BAND, dtype=bool)[::-1]  # band (r, j < 5 - r) of K[3:, 3:]
+
+# Corotational element tangent over (u_a, v_a, theta_a, u_b, v_b, theta_b): entry (p, q) is
+# value _BLOCK[p, q] of (A00, A01, A11, 6 EI/l a, 6 EI/l b, 4 EI/l, 2 EI/l, and the first 5 negated)
+_BLOCK = np.array([[0, 1, 10, 7, 8, 10],
+                   [1, 2, 4, 8, 9, 4],
+                   [10, 4, 5, 3, 11, 6],
+                   [7, 8, 3, 0, 1, 3],
+                   [8, 9, 11, 1, 2, 11],
+                   [10, 4, 6, 3, 11, 5]])
 
 
 @dataclass(frozen=True)
@@ -182,18 +198,18 @@ def transverse_load_operators(mesh: BeamMesh):
 
     The rows of G map a DOF vector to v at the quadrature points and w holds
     their quadrature weights, so the load vector is G^T (w q); the function
-    K(c) = G^T diag(c) G, summed from 4 x 4 element blocks, gives the load
-    stiffness K(w q')."""
+    K(c) = G^T diag(c) G, summed from 4 x 4 element blocks in band storage,
+    gives the load stiffness K(w q')."""
     shape = np.stack(_hermite_basis(_GAUSS_XI, mesh.element_length), axis=1)  # (point, DOF)
     dofs = 3 * np.arange(mesh.n_elements)[:, None] + np.array([1, 2, 4, 5])
     n = 3 * mesh.n_nodes
     g = np.zeros((3 * mesh.n_elements, n))
     g[np.arange(len(g))[:, None], np.repeat(dofs, 3, axis=0)] = np.tile(shape, (mesh.n_elements, 1))
     outer = (shape[:, :, None] * shape[:, None, :]).reshape(3, 16)
-    flat = (dofs[:, :, None] * n + dofs[:, None, :]).ravel()
+    flat = ((_HALF_BAND + dofs[:, :, None] - dofs[:, None, :]) * n + dofs[:, None, :]).ravel()
 
     def stiffness(c: np.ndarray) -> np.ndarray:
-        return np.bincount(flat, (c.reshape(-1, 3) @ outer).ravel(), n * n).reshape(n, n)
+        return np.bincount(flat, (c.reshape(-1, 3) @ outer).ravel(), _BAND_ROWS * n).reshape(-1, n)
 
     return g, np.tile(mesh.gauss_weights(), mesh.n_elements), stiffness
 
@@ -207,14 +223,12 @@ def consistent_load_vector(
     """Assemble the work-equivalent nodal force vector for a transverse load."""
     f = np.zeros(3 * mesh.n_nodes)
     if load is not None:
-        qg = gauss_load_values(mesh, load)  # (n_el, 3)
-        wq = qg * mesh.gauss_weights()[None, :]
+        wq = gauss_load_values(mesh, load) * mesh.gauss_weights()[None, :]  # (n_el, 3)
         n1, n2, n3, n4 = _hermite_basis(_GAUSS_XI, mesh.element_length)
-        fe = np.stack(
-            [wq @ n1, wq @ n2, wq @ n3, wq @ n4], axis=1
-        )  # (n_el, 4): (va, tha, vb, thb)
-        for k, col in enumerate((1, 2, 4, 5)):
-            np.add.at(f, 3 * np.arange(mesh.n_elements) + col, fe[:, k])
+        fe = np.stack([wq @ n1, wq @ n2, wq @ n3, wq @ n4], axis=1)  # (va, tha, vb, thb)
+        nodal = f.reshape(-1, 3)
+        nodal[:-1, 1:] += fe[:, :2]
+        nodal[1:, 1:] += fe[:, 2:]
     f[-2] += tip_force
     f[-1] += tip_moment
     return f
@@ -224,31 +238,30 @@ def consistent_load_vector(
 # small-displacement solve
 # ----------------------------------------------------------------------
 
-def _band_storage(a: np.ndarray, lower: int, upper: int) -> np.ndarray:
-    """LAPACK band storage of a square matrix: row ``upper - k`` holds diagonal k."""
-    m = a.shape[0]
-    ab = np.zeros((lower + upper + 1, m))
-    for k in range(-lower, upper + 1):
-        d = np.diagonal(a, k)
-        if k >= 0:
-            ab[upper - k, k:] = d
-        else:
-            ab[upper - k, : m + k] = d
+def _clamped(k_band: np.ndarray) -> np.ndarray:
+    """Band storage of K[3:, 3:]: the couplings to the clamped node zeroed."""
+    ab = k_band[:, 3:].copy()
+    ab[:_HALF_BAND, :_HALF_BAND][_CLAMPED] = 0.0
     return ab
 
 
 class LinearBeamOperator:
     """Factorized clamped-cantilever tangent at rest, reusable across load cases.
 
-    ``k0`` is K_t(0) from ``corotational_internal``, clamped node included;
-    the clamped-reduced part is factored once by banded Cholesky.
+    ``k_band`` is K_t(0) from ``corotational_internal``, clamped node
+    included; the clamped-reduced part is factored once by banded Cholesky.
+    ``k0`` is the same matrix dense, for the linear internal force K_t(0) d.
     """
 
     def __init__(self, mesh: BeamMesh):
         self.mesh = mesh
-        _, self.k0, _ = corotational_internal(mesh, np.zeros(3 * mesh.n_nodes))
+        _, self.k_band, _ = corotational_internal(mesh, np.zeros(3 * mesh.n_nodes))
+        self.k_band.setflags(write=False)
+        n = self.k_band.shape[1]
+        diagonals = zip(self.k_band, range(_HALF_BAND, -_HALF_BAND - 1, -1))  # row r: j - i = 5 - r
+        self.k0 = sum(np.diag(row[max(k, 0) : n + min(k, 0)], k) for row, k in diagonals)
         self.k0.setflags(write=False)
-        self._factor = cholesky_banded(_band_storage(self.k0[3:, 3:], 0, 5), lower=False)
+        self._factor = cholesky_banded(_clamped(self.k_band)[: _HALF_BAND + 1], lower=False)
 
     def solve(
         self,
@@ -287,30 +300,37 @@ def _wrap_angle(a: np.ndarray) -> np.ndarray:
     return np.where(np.abs(a) > np.pi, wrapped, a)
 
 
+@lru_cache(maxsize=None)
+def _element_scatter(n_elements: int):
+    """Flat (value, band) indices of the element blocks' node-a columns, then of
+    the node-b ones, each set free of repeats; block entry (p, q) of element e
+    is value _BLOCK[p, q] of e and lands at band (5 + p - q, 3 e + q)."""
+    e = np.arange(n_elements)[:, None, None]
+    p, q = np.indices((6, 6))
+    src = _BLOCK * n_elements + e
+    dst = (_HALF_BAND + p - q) * (3 * n_elements + 3) + 3 * e + q
+    return [(src[..., cols].ravel(), dst[..., cols].ravel()) for cols in (np.s_[:3], np.s_[3:])]
+
+
 def corotational_internal(mesh: BeamMesh, dofs: np.ndarray):
     """Internal force vector and consistent tangent for the (u, v, theta) state.
 
-    Returns (f_int, k_tangent, max_local_rotation); the clamped boundary is
-    not applied here.
+    Returns (f_int, k_band, max_local_rotation), the tangent in band storage
+    and the clamped boundary not applied.  Force and tangent are written out
+    from the B-matrix rows (Crisfield 1991, ch. 7) r = (-c, -s, 0, c, s, 0) of
+    the elongation and b_a, b_b = (-a, b, 1|0, a, -b, 0|1) of the end
+    rotations, a = s/ln and b = c/ln.
     """
-    x0 = mesh.node_positions
-    u = dofs[0::3]
-    v = dofs[1::3]
-    theta = dofs[2::3]
-
-    l0 = np.diff(x0)
-    du = u[1:] - u[:-1]
+    u, v, theta = dofs[0::3], dofs[1::3], dofs[2::3]
+    l0 = mesh.node_positions[1:] - mesh.node_positions[:-1]
+    du, dy = u[1:] - u[:-1], v[1:] - v[:-1]
     dx = l0 + du
-    dy = v[1:] - v[:-1]
     ln = np.hypot(dx, dy)
-    if not np.all(ln > 0.0) or not np.all(np.isfinite(ln)):
+    if not (ln > 0.0).all() or not np.isfinite(ln).all():
         raise ConvergenceError("degenerate element geometry during iteration")
-    c = dx / ln
-    s = dy / ln
-    beta = np.arctan2(dy, dx)
-    th_a = _wrap_angle(theta[:-1] - beta)
-    th_b = _wrap_angle(theta[1:] - beta)
-    max_local = float(np.max(np.abs(np.concatenate([th_a, th_b])))) if len(th_a) else 0.0
+    c, s = dx / ln, dy / ln
+    th_a, th_b = th = _wrap_angle(np.array([theta[:-1], theta[1:]]) - np.arctan2(dy, dx))
+    max_local = float(np.abs(th).max())
 
     # ln - l0 evaluated from the DOF differences so the roundoff scales
     # with the deformation instead of with l0^2
@@ -319,50 +339,38 @@ def corotational_internal(mesh: BeamMesh, dofs: np.ndarray):
     ei_l = mesh.bending_rigidity / l0
     m_a = ei_l * (4.0 * th_a + 2.0 * th_b)
     m_b = ei_l * (2.0 * th_a + 4.0 * th_b)
+    a, b = s / ln, c / ln
 
-    zero = np.zeros_like(c)
-    one = np.ones_like(c)
-    r_vec = np.stack([-c, -s, zero, c, s, zero], axis=1)
-    z_vec = np.stack([s, -c, zero, -s, c, zero], axis=1)
-    b_th_a = -z_vec / ln[:, None]
-    b_th_a[:, 2] += one
-    b_th_b = -z_vec / ln[:, None]
-    b_th_b[:, 5] += one
+    # f = N r + m_a b_a + m_b b_b and K = EA/l r r' + EI/l (4 b_a b_a' + 2 b_a b_b' + 2 b_b b_a'
+    # + 4 b_b b_b') + N/ln z z' + (m_a + m_b)/ln^2 (r z' + z r'), z = (s, -c, 0, -s, c, 0), each
+    # entry summed in this order: the outer-product assembly, bit for bit
+    fx = c * axial_n + a * m_a + a * m_b
+    fy = b * m_a - s * axial_n + b * m_b
+    f_int = np.zeros((mesh.n_nodes, 3))
+    f_int[:-1] += np.array([-fx, fy, m_a]).T
+    f_int[1:] += np.array([fx, -fy, m_b]).T
 
-    f_el = (
-        r_vec * axial_n[:, None] + b_th_a * m_a[:, None] + b_th_b * m_b[:, None]
-    )  # (n_el, 6)
-
-    def outer(a, b):
-        return np.einsum("ei,ej->eij", a, b)
-
-    ea_l = (mesh.axial_rigidity / l0)[:, None, None]
-    ei_l3 = ei_l[:, None, None]
-    k_el = ea_l * outer(r_vec, r_vec) + ei_l3 * (
-        4.0 * outer(b_th_a, b_th_a)
-        + 2.0 * (outer(b_th_a, b_th_b) + outer(b_th_b, b_th_a))
-        + 4.0 * outer(b_th_b, b_th_b)
-    )
-    k_el += (axial_n / ln)[:, None, None] * outer(z_vec, z_vec)
-    k_el += ((m_a + m_b) / ln**2)[:, None, None] * (
-        outer(r_vec, z_vec) + outer(z_vec, r_vec)
-    )
-
-    n_dof = 3 * mesh.n_nodes
-    idx = 3 * np.arange(mesh.n_elements)[:, None] + np.arange(6)[None, :]
-    f_int = np.zeros(n_dof)
-    np.add.at(f_int, idx, f_el)
-    k = np.zeros((n_dof, n_dof))
-    np.add.at(k, (idx[:, :, None], idx[:, None, :]), k_el)
-    return f_int, k, max_local
+    cc, ss, cs = c * c, s * s, c * s
+    ea_l = mesh.axial_rigidity / l0
+    n_l, q = axial_n / ln, (m_a + m_b) / ln**2
+    base = np.array([
+        ea_l * cc + ei_l * (12.0 * (a * a)) + n_l * ss - q * (2.0 * cs),
+        ea_l * cs - ei_l * (12.0 * (a * b)) - n_l * cs + q * (cc - ss),
+        ea_l * ss + ei_l * (12.0 * (b * b)) + n_l * cc + q * (2.0 * cs),
+        ei_l * (6.0 * a), ei_l * (6.0 * b), 4.0 * ei_l, 2.0 * ei_l,
+    ])
+    vals = np.concatenate([base, -base[:5]]).ravel()
+    k_band = np.zeros(_BAND_ROWS * 3 * mesh.n_nodes)
+    for src, dst in _element_scatter(mesh.n_elements):
+        k_band[dst] += vals[src]
+    return f_int.ravel(), k_band.reshape(_BAND_ROWS, -1), max_local
 
 
-def solve_clamped_banded(k_full: np.ndarray, rhs_full: np.ndarray) -> np.ndarray:
-    """Direct banded LU solve of the clamped-reduced system; returns all DOFs."""
-    hbw = 5  # a node's three DOFs couple to the next node's three
-    sol = solve_banded((hbw, hbw), _band_storage(k_full[3:, 3:], hbw, hbw), rhs_full[3:])
+def solve_clamped_banded(k_band: np.ndarray, rhs_full: np.ndarray) -> np.ndarray:
+    """Banded LU solve of the clamped-reduced system; returns all DOFs.  ``k_band``
+    is the tangent in band storage, clamped node included."""
     out = np.zeros_like(rhs_full)
-    out[3:] = sol
+    out[3:] = solve_banded((_HALF_BAND, _HALF_BAND), _clamped(k_band), rhs_full[3:])
     return out
 
 
@@ -386,20 +394,6 @@ def assembly_noise_floor(mesh: BeamMesh, dofs: np.ndarray) -> float:
     )
 
 
-def newton_step(k_full: np.ndarray, res: np.ndarray, load: np.ndarray, tip_gap=None):
-    """Newton step and load-factor change; K step = res - dlam load.
-
-    dlam is 0 unless the step's tip deflection ``tip_gap`` is prescribed.
-    Then Keller's bordering solves K [a b] = [res load] with one banded
-    factorization and dlam = (tip_gap - a_tip) / b_tip.
-    """
-    if tip_gap is None:
-        return solve_clamped_banded(k_full, res), 0.0
-    a, b = solve_clamped_banded(k_full, np.column_stack([res, load])).T
-    dlam = (tip_gap - a[-2]) / b[-2]
-    return a + dlam * b, dlam
-
-
 def newton_solve(
     mesh: BeamMesh,
     f_ext: np.ndarray | Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
@@ -407,17 +401,18 @@ def newton_solve(
     residual_tol: float = 1e-10,
     max_iterations: int = 30,
     tip: float | None = None,
-    k0: np.ndarray | None = None,
+    linear: LinearBeamOperator | None = None,
 ):
     """Full Newton iteration on the residual lam f_ext - f_int.
 
     Returns (dofs, residual_history, converged, lam), in the (u, v, theta)
     layout including the clamped node.  ``f_ext`` is a load vector, or a
     function of the state returning the load vector and its load stiffness,
-    which enters the Jacobian as K_t - lam K_load; the structure is
-    corotational, or linear (f_int = k0 d) when ``k0`` is given.  lam is 1
-    unless ``tip`` is given; then the tip deflection is prescribed and lam
-    solved for by bordered Newton steps.  Steps are capped at 0.2 gap
+    which enters the Jacobian as K_t - lam K_load, both in band storage; the
+    structure is corotational, or linear (f_int = K_t(0) d) when the ``linear``
+    operator is given.  lam is 1 unless ``tip`` is given; then the tip deflection
+    is prescribed and each step bordered (Keller): one banded solve of K [a b] =
+    [res f_ext], dlam = (tip gap - a_tip) / b_tip.  Steps are capped at 0.2 gap
     transverse under a state-dependent load, else at 0.5 rad and 0.3 L.
     The solve fails after ``max_iterations`` steps, on a non-finite residual
     or step, a singular tangent or a local rotation beyond the corotational
@@ -436,16 +431,16 @@ def newton_solve(
     for it in range(max_iterations + 1):
         if load_at is not None:
             f_ext, k_load = load_at(d)
-        if k0 is None:
+        if linear is None:
             try:
                 f_int, k_t, max_local = corotational_internal(mesh, d)
             except ConvergenceError:
                 return d, history, False, lam
             noise = assembly_noise_floor(mesh, d)
         else:
-            f_int, k_t, max_local = k0 @ d, k0, 0.0
+            f_int, k_t, max_local = linear.k0 @ d, linear.k_band, 0.0
             # matvec roundoff bound for the K d internal force
-            noise = 4.0 * np.finfo(float).eps * float(np.linalg.norm(np.abs(k0) @ np.abs(d)))
+            noise = 4.0 * np.finfo(float).eps * float(np.linalg.norm(np.abs(linear.k0) @ np.abs(d)))
         f_lam = lam * f_ext
         res = f_lam - f_int
         res[:3] = 0.0
@@ -459,7 +454,12 @@ def newton_solve(
             return d, history, False, lam
         jac = k_t if load_at is None else k_t - lam * k_load
         try:
-            step, dlam = newton_step(jac, res, f_ext, tip_gap)
+            if tip_gap is None:
+                step, dlam = solve_clamped_banded(jac, res), 0.0
+            else:
+                a, b = solve_clamped_banded(jac, np.column_stack([res, f_ext])).T
+                dlam = (tip_gap - a[-2]) / b[-2]
+                step = a + dlam * b
         except np.linalg.LinAlgError:
             return d, history, False, lam
         if not np.all(np.isfinite(step)):

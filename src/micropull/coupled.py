@@ -261,9 +261,9 @@ class _Runner:
             q = electro.plate_load_on_gap(spec, spec.gap_g - v_pts, voltage, f_coeff)
             return g_mat.T @ (weights * q), stiffness(weights * dq_dv(v_pts))
 
-        k0 = self.linear_op.k0 if self.cfg.structural_mode == LINEAR else None
+        linear = self.linear_op if self.cfg.structural_mode == LINEAR else None
         try:
-            d, _, ok, lam = beam.newton_solve(self.mesh, load, start.dofs, tip=tip, k0=k0)
+            d, _, ok, lam = beam.newton_solve(self.mesh, load, start.dofs, tip=tip, linear=linear)
         except GapClosureError:
             return EquilibriumResult(start, False, evals, voltage, "gap closure")
         if not ok:

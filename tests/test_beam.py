@@ -32,6 +32,76 @@ def classical_stiffness(mesh):
     return k
 
 
+def dense(k_band):
+    """The square matrix held in LAPACK band storage: row 5 + i - j holds K[i, j]."""
+    n = k_band.shape[1]
+    k = np.zeros((n, n))
+    for i in range(n):
+        for j in range(max(0, i - 5), min(n, i + 6)):
+            k[i, j] = k_band[5 + i - j, j]
+    return k
+
+
+def reference_corotational(mesh, dofs):
+    """Dense corotational force and tangent, summed from 6 x 6 element blocks
+    of B-matrix outer products with np.add.at: the reference for the
+    closed-form band assembly."""
+    l0 = np.diff(mesh.node_positions)
+    u, v, theta = dofs[0::3], dofs[1::3], dofs[2::3]
+    du, dy = u[1:] - u[:-1], v[1:] - v[:-1]
+    dx = l0 + du
+    ln = np.hypot(dx, dy)
+    c, s = dx / ln, dy / ln
+    beta = np.arctan2(dy, dx)
+    th_a = beam._wrap_angle(theta[:-1] - beta)
+    th_b = beam._wrap_angle(theta[1:] - beta)
+    elong = (2.0 * l0 * du + du * du + dy * dy) / (ln + l0)
+    axial_n = mesh.axial_rigidity * elong / l0
+    ei_l = mesh.bending_rigidity / l0
+    m_a = ei_l * (4.0 * th_a + 2.0 * th_b)
+    m_b = ei_l * (2.0 * th_a + 4.0 * th_b)
+
+    zero, one = np.zeros_like(c), np.ones_like(c)
+    r_vec = np.stack([-c, -s, zero, c, s, zero], axis=1)
+    z_vec = np.stack([s, -c, zero, -s, c, zero], axis=1)
+    b_th_a = -z_vec / ln[:, None]
+    b_th_a[:, 2] += one
+    b_th_b = -z_vec / ln[:, None]
+    b_th_b[:, 5] += one
+    f_el = r_vec * axial_n[:, None] + b_th_a * m_a[:, None] + b_th_b * m_b[:, None]
+
+    def outer(a, b):
+        return np.einsum("ei,ej->eij", a, b)
+
+    k_el = (mesh.axial_rigidity / l0)[:, None, None] * outer(r_vec, r_vec) + ei_l[
+        :, None, None
+    ] * (
+        4.0 * outer(b_th_a, b_th_a)
+        + 2.0 * (outer(b_th_a, b_th_b) + outer(b_th_b, b_th_a))
+        + 4.0 * outer(b_th_b, b_th_b)
+    )
+    k_el += (axial_n / ln)[:, None, None] * outer(z_vec, z_vec)
+    k_el += ((m_a + m_b) / ln**2)[:, None, None] * (outer(r_vec, z_vec) + outer(z_vec, r_vec))
+
+    n_dof = 3 * mesh.n_nodes
+    idx = 3 * np.arange(mesh.n_elements)[:, None] + np.arange(6)[None, :]
+    f_int = np.zeros(n_dof)
+    np.add.at(f_int, idx, f_el)
+    k = np.zeros((n_dof, n_dof))
+    np.add.at(k, (idx[:, :, None], idx[:, None, :]), k_el)
+    return f_int, k
+
+
+def bent_state(mesh, seed, rotation):
+    """Random (u, v, theta) state, clamped node at rest, rotations of order
+    ``rotation`` and displacements of order rotation * L."""
+    length = mesh.specimen.length_l
+    scale = np.tile([1e-3 * rotation * length, rotation * length, rotation], mesh.n_nodes)
+    d = np.random.default_rng(seed).normal(size=3 * mesh.n_nodes) * scale
+    d[:3] = 0.0
+    return d
+
+
 class TestMesh:
     def test_rigidity_from_direct_arithmetic(self, st1_1_measured):
         mesh = build_mesh(st1_1_measured, 20)
@@ -163,6 +233,60 @@ class TestLinearIsTangentAtRest:
         assert np.all(fld.axial == 0.0)
 
 
+class TestBandAssembly:
+    """The closed-form band tangent is the dense np.add.at assembly, bit for bit."""
+
+    @pytest.fixture
+    def mesh(self, st1_1_measured):
+        return build_mesh(st1_1_measured, 12)
+
+    def assert_matches_reference(self, mesh, d):
+        f_int, k_band, _ = beam.corotational_internal(mesh, d)
+        f_ref, k_ref = reference_corotational(mesh, d)
+        assert k_band.shape == (11, 3 * mesh.n_nodes)
+        assert np.array_equal(f_int, f_ref)
+        assert np.array_equal(dense(k_band), k_ref)
+        # storage outside the matrix holds zeros
+        i = np.arange(k_band.shape[1]) + np.arange(-5, 6)[:, None]
+        assert not np.any(k_band[(i < 0) | (i >= k_band.shape[1])])
+        return k_band
+
+    def test_at_rest(self, mesh):
+        k_band = self.assert_matches_reference(mesh, np.zeros(3 * mesh.n_nodes))
+        assert np.array_equal(beam.LinearBeamOperator(mesh).k0, dense(k_band))
+
+    def test_random_bent_state(self, mesh):
+        self.assert_matches_reference(mesh, bent_state(mesh, 11, 0.05))
+
+    def test_local_rotation_near_one_radian(self, mesh):
+        d = bent_state(mesh, 13, 0.01)
+        d[2::3] += 1.0
+        d[2] = 0.0
+        _, _, max_local = beam.corotational_internal(mesh, d)
+        assert 0.9 < max_local < beam._MAX_LOCAL_ROTATION
+        self.assert_matches_reference(mesh, d)
+
+    def test_load_stiffness_is_reference_assembly(self, mesh):
+        # the dense sum of 4 x 4 element blocks c_k N_p N_q, in element order
+        g, _, stiffness = beam.transverse_load_operators(mesh)
+        c = np.random.default_rng(17).uniform(-2.0, 2.0, size=len(g))
+        shape = np.stack(beam._hermite_basis(beam._GAUSS_XI, mesh.element_length), axis=1)
+        blocks = c.reshape(-1, 3) @ (shape[:, :, None] * shape[:, None, :]).reshape(3, 16)
+        dofs = 3 * np.arange(mesh.n_elements)[:, None] + np.array([1, 2, 4, 5])
+        ref = np.zeros((g.shape[1], g.shape[1]))
+        np.add.at(ref, (dofs[:, :, None], dofs[:, None, :]), blocks.reshape(-1, 4, 4))
+        assert np.array_equal(dense(stiffness(c)), ref)
+
+    def test_clamped_solve_matches_dense_reduced_solve(self, mesh):
+        d = bent_state(mesh, 19, 0.05)
+        _, k_band, _ = beam.corotational_internal(mesh, d)
+        rhs = np.random.default_rng(23).normal(size=d.size)
+        out = beam.solve_clamped_banded(k_band, rhs)
+        expected = np.linalg.solve(dense(k_band)[3:, 3:], rhs[3:])
+        assert np.all(out[:3] == 0.0)
+        assert np.linalg.norm(out[3:] - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
 class TestNonlinear:
     def test_zero_load_zero_field(self, st1_1_measured):
         mesh = build_mesh(st1_1_measured, 8)
@@ -232,7 +356,8 @@ class TestNonlinear:
         rng = np.random.default_rng(7)
         d = np.zeros(3 * mesh.n_nodes)
         d[3:] = rng.normal(scale=1e-7, size=d.size - 3)
-        f0, k, _ = beam.corotational_internal(mesh, d)
+        f0, k_band, _ = beam.corotational_internal(mesh, d)
+        k = dense(k_band)
         eps = 1e-12
         worst = 0.0
         for j in range(3, d.size):
@@ -316,9 +441,9 @@ class TestTransverseLoadOperators:
         mesh = build_mesh(st1_1_measured, 12)
         g, _, stiffness = beam.transverse_load_operators(mesh)
         c = np.random.default_rng(5).uniform(0.5, 2.0, size=len(g))
-        k = stiffness(c)
-        dense = g.T @ (c[:, None] * g)
-        np.testing.assert_allclose(k, dense, rtol=0.0, atol=1e-15 * np.abs(dense).max())
+        k = dense(stiffness(c))
+        product = g.T @ (c[:, None] * g)
+        np.testing.assert_allclose(k, product, rtol=0.0, atol=1e-15 * np.abs(product).max())
         assert np.array_equal(k, k.T)
 
     def test_newton_with_affine_state_dependent_load(self, st1_1_measured):
@@ -326,7 +451,7 @@ class TestTransverseLoadOperators:
         # exact Jacobian of the linear structure and one step solves it
         mesh = build_mesh(st1_1_measured, 20)
         g, w, stiffness = beam.transverse_load_operators(mesh)
-        k0 = beam.LinearBeamOperator(mesh).k0
+        linear = beam.LinearBeamOperator(mesh)
         length = mesh.specimen.length_l
         q0, kappa = 1e-3, 0.5 * mesh.bending_rigidity * (1.875 / length) ** 4
         k_load = stiffness(kappa * w)
@@ -334,11 +459,11 @@ class TestTransverseLoadOperators:
         def load(d):
             return g.T @ (w * (q0 + kappa * (g @ d))), k_load
 
-        d, history, ok, lam = beam.newton_solve(mesh, load, k0=k0)
+        d, history, ok, lam = beam.newton_solve(mesh, load, linear=linear)
         assert ok and lam == 1.0
         assert len(history) == 2
         f0 = g.T @ (w * np.full(len(w), q0))
-        expected = np.linalg.solve((k0 - k_load)[3:, 3:], f0[3:])
+        expected = np.linalg.solve((linear.k0 - dense(k_load))[3:, 3:], f0[3:])
         np.testing.assert_allclose(
             d[3:], expected, rtol=1e-9, atol=1e-12 * np.abs(expected).max()
         )
