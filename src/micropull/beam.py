@@ -57,10 +57,10 @@ _MAX_LOCAL_ROTATION = 1.4
 
 _HALF_BAND = 5  # of the tangents in band storage
 _BAND_ROWS = 2 * _HALF_BAND + 1
-_CLAMPED = np.tri(_HALF_BAND, dtype=bool)[::-1]  # band (r, j < 5 - r) of K[3:, 3:]
 
 # Corotational element tangent over (u_a, v_a, theta_a, u_b, v_b, theta_b): entry (p, q) is
-# value _BLOCK[p, q] of (A00, A01, A11, 6 EI/l a, 6 EI/l b, 4 EI/l, 2 EI/l, and the first 5 negated)
+# value _BLOCK[p, q] of (A00, A01, A11, 6 EI/l a, 6 EI/l b, 4 EI/l, 2 EI/l) and of the first
+# five negated; the translational part is [[A, -A], [-A, A]] with A symmetric 2 x 2.
 _BLOCK = np.array([[0, 1, 10, 7, 8, 10],
                    [1, 2, 4, 8, 9, 4],
                    [10, 4, 5, 3, 11, 6],
@@ -223,9 +223,12 @@ def consistent_load_vector(
     """Assemble the work-equivalent nodal force vector for a transverse load."""
     f = np.zeros(3 * mesh.n_nodes)
     if load is not None:
-        wq = gauss_load_values(mesh, load) * mesh.gauss_weights()[None, :]  # (n_el, 3)
+        qg = gauss_load_values(mesh, load)  # (n_el, 3)
+        wq = qg * mesh.gauss_weights()[None, :]
         n1, n2, n3, n4 = _hermite_basis(_GAUSS_XI, mesh.element_length)
-        fe = np.stack([wq @ n1, wq @ n2, wq @ n3, wq @ n4], axis=1)  # (va, tha, vb, thb)
+        fe = np.stack(
+            [wq @ n1, wq @ n2, wq @ n3, wq @ n4], axis=1
+        )  # (n_el, 4): (va, tha, vb, thb)
         nodal = f.reshape(-1, 3)
         nodal[:-1, 1:] += fe[:, :2]
         nodal[1:, 1:] += fe[:, 2:]
@@ -237,13 +240,6 @@ def consistent_load_vector(
 # ----------------------------------------------------------------------
 # small-displacement solve
 # ----------------------------------------------------------------------
-
-def _clamped(k_band: np.ndarray) -> np.ndarray:
-    """Band storage of K[3:, 3:]: the couplings to the clamped node zeroed."""
-    ab = k_band[:, 3:].copy()
-    ab[:_HALF_BAND, :_HALF_BAND][_CLAMPED] = 0.0
-    return ab
-
 
 class LinearBeamOperator:
     """Factorized clamped-cantilever tangent at rest, reusable across load cases.
@@ -261,7 +257,7 @@ class LinearBeamOperator:
         diagonals = zip(self.k_band, range(_HALF_BAND, -_HALF_BAND - 1, -1))  # row r: j - i = 5 - r
         self.k0 = sum(np.diag(row[max(k, 0) : n + min(k, 0)], k) for row, k in diagonals)
         self.k0.setflags(write=False)
-        self._factor = cholesky_banded(_clamped(self.k_band)[: _HALF_BAND + 1], lower=False)
+        self._factor = cholesky_banded(self.k_band[: _HALF_BAND + 1, 3:], lower=False)
 
     def solve(
         self,
@@ -367,10 +363,14 @@ def corotational_internal(mesh: BeamMesh, dofs: np.ndarray):
 
 
 def solve_clamped_banded(k_band: np.ndarray, rhs_full: np.ndarray) -> np.ndarray:
-    """Banded LU solve of the clamped-reduced system; returns all DOFs.  ``k_band``
-    is the tangent in band storage, clamped node included."""
+    """Banded LU solve of the clamped-reduced system; returns all DOFs.
+
+    ``k_band`` is the tangent in band storage, clamped node included.  Its
+    columns from 3 on hold K[3:, 3:] in band storage; the couplings to the
+    clamped node left in them sit in the corner LAPACK never references.
+    """
     out = np.zeros_like(rhs_full)
-    out[3:] = solve_banded((_HALF_BAND, _HALF_BAND), _clamped(k_band), rhs_full[3:])
+    out[3:] = solve_banded((_HALF_BAND, _HALF_BAND), k_band[:, 3:], rhs_full[3:])
     return out
 
 

@@ -73,9 +73,8 @@ def reference_corotational(mesh, dofs):
     def outer(a, b):
         return np.einsum("ei,ej->eij", a, b)
 
-    k_el = (mesh.axial_rigidity / l0)[:, None, None] * outer(r_vec, r_vec) + ei_l[
-        :, None, None
-    ] * (
+    ea_l, ei_l3 = (mesh.axial_rigidity / l0)[:, None, None], ei_l[:, None, None]
+    k_el = ea_l * outer(r_vec, r_vec) + ei_l3 * (
         4.0 * outer(b_th_a, b_th_a)
         + 2.0 * (outer(b_th_a, b_th_b) + outer(b_th_b, b_th_a))
         + 4.0 * outer(b_th_b, b_th_b)
