@@ -1,7 +1,8 @@
-"""CLI CSV output against committed goldens, byte for byte.
+"""CLI output against committed goldens, byte for byte.
 
 Each golden under ``tests/golden/`` is the standard output of one command
-line run through ``cli.run``.  A refactor that keeps the algorithm must keep
+line run through ``cli.run``: ``<case>.csv``, or ``<case>`` itself for the
+``.json`` cases, which add ``--format json``.  A refactor that keeps the algorithm must keep
 these bytes.  To record them again from the current tree (only where a
 change of output is intended and explained):
 
@@ -41,7 +42,23 @@ CASES = {
         "sweep", "--id", "ST1-1", "--dims", "measured", "--load", "field2d",
         "--model", "linear", "--vmax", "200", "--steps", "5",
     ],
+    "catalog": ["catalog"],
+    "ratios-ST1-8-measured": ["ratios", "--id", "ST1-8", "--dims", "measured"],
+    "analytic-ST1-3-nominal-E150": ["analytic", "--id", "ST1-3", "--E", "150"],
 }
+CASES.update({
+    f"{name}.json": [*CASES[name], "--format", "json"]
+    for name in (
+        "catalog",
+        "sweep-ST1-1-measured-plate-linear-monolithic",
+        "band-ST1-6-measured-plate-linear",
+        "pullin-ST1-1-measured-linear-monolithic",
+    )
+})
+
+
+def _golden(name: str) -> Path:
+    return GOLDEN / (name if name.endswith(".json") else f"{name}.csv")
 
 
 def _run(argv) -> str:
@@ -54,12 +71,12 @@ def _run(argv) -> str:
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_matches_golden(name):
-    expected = (GOLDEN / f"{name}.csv").read_text(encoding="utf-8")
+    expected = _golden(name).read_text(encoding="utf-8")
     assert _run(CASES[name]) == expected
 
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, argv in CASES.items():
-        (GOLDEN / f"{name}.csv").write_text(_run(argv), encoding="utf-8")
+        _golden(name).write_text(_run(argv), encoding="utf-8")
         print(name, file=sys.stderr)
