@@ -192,48 +192,10 @@ class _FileError(Exception):
     pass
 
 
-def emit_sweep_csv(result: SweepResult, sink: TextIO) -> None:
-    """Serialize a sweep: one row per point, trailing pull-in comment if any."""
-    sink.write("voltage_V,tip_displacement_um,converged,iterations\n")
-    for p in result.points:
-        sink.write(
-            f"{_fmt(p.voltage)},{_fmt6(p.tip_displacement * 1e6)},"
-            f"{'true' if p.converged else 'false'},{p.iterations}\n"
-        )
-    if result.pull_in is not None:
-        sink.write(f"# pull_in_V={_fmt(result.pull_in.pull_in_voltage)}\n")
-
-
-def _sweep_json_obj(result: SweepResult) -> dict:
-    return {
-        "points": [
-            {
-                "voltage_V": p.voltage,
-                "tip_displacement_um": p.tip_displacement * 1e6,
-                "converged": p.converged,
-                "iterations": p.iterations,
-            }
-            for p in result.points
-        ],
-        "pull_in_V": result.pull_in.pull_in_voltage if result.pull_in else None,
-    }
-
-
-def _emit(args, csv_writer, json_obj) -> None:
-    sink, close = _open_out(args)
-    try:
-        if args.format == "json":
-            json.dump(json_obj(), sink, indent=2)
-            sink.write("\n")
-        else:
-            csv_writer(sink)
-    finally:
-        if close:
-            sink.close()
-
-
-def _emit_row(args, row: dict, six_digit: tuple[str, ...] = ()) -> None:
-    """One record as a CSV header and row, or as the JSON object.  CSV cells
+def _write_csv(
+    sink: TextIO, header, rows, six_digit: tuple[str, ...] = (), comments=()
+) -> None:
+    """A header line, one line per row dict, then ``# `` comment lines.  Cells
     print floats exactly (``six_digit`` keys to six digits), booleans lower case."""
 
     def cell(key: str, value) -> str:
@@ -243,11 +205,58 @@ def _emit_row(args, row: dict, six_digit: tuple[str, ...] = ()) -> None:
             return _fmt6(value) if key in six_digit else _fmt(value)
         return str(value)
 
-    def csv_writer(sink: TextIO) -> None:
-        sink.write(",".join(row) + "\n")
-        sink.write(",".join(cell(k, v) for k, v in row.items()) + "\n")
+    sink.write(",".join(header) + "\n")
+    for row in rows:
+        sink.write(",".join(cell(k, row[k]) for k in header) + "\n")
+    for line in comments:
+        sink.write(f"# {line}\n")
 
-    _emit(args, csv_writer, lambda: row)
+
+_SWEEP_HEADER = ("voltage_V", "tip_displacement_um", "converged", "iterations")
+_SWEEP_SIX_DIGIT = ("tip_displacement_um",)
+
+
+def _sweep_rows(result: SweepResult) -> list[dict]:
+    return [
+        dict(zip(_SWEEP_HEADER, (p.voltage, p.tip_displacement * 1e6, p.converged, p.iterations)))
+        for p in result.points
+    ]
+
+
+def _pull_in_comments(result: SweepResult, tag: str = "") -> list[str]:
+    return [f"pull_in_V{tag}={_fmt(result.pull_in.pull_in_voltage)}"] if result.pull_in else []
+
+
+def emit_sweep_csv(result: SweepResult, sink: TextIO) -> None:
+    """Serialize a sweep: one row per point, trailing pull-in comment if any."""
+    rows = _sweep_rows(result)
+    _write_csv(sink, _SWEEP_HEADER, rows, _SWEEP_SIX_DIGIT, _pull_in_comments(result))
+
+
+def _sweep_json_obj(result: SweepResult) -> dict:
+    return {
+        "points": _sweep_rows(result),
+        "pull_in_V": result.pull_in.pull_in_voltage if result.pull_in else None,
+    }
+
+
+def _emit(args, csv_writer, json_obj) -> None:
+    """Write ``json_obj`` as JSON with --format json, else call ``csv_writer``."""
+    sink, close = _open_out(args)
+    try:
+        if args.format == "json":
+            json.dump(json_obj, sink, indent=2)
+            sink.write("\n")
+        else:
+            csv_writer(sink)
+    finally:
+        if close:
+            sink.close()
+
+
+def _emit_row(args, row: dict, six_digit: tuple[str, ...] = ()) -> None:
+    """One record as a CSV header and row, or as the JSON object."""
+    _emit(args, lambda sink: _write_csv(sink, row, [row], six_digit), row)
 
 
 def _select_with_modulus(args) -> catalog.Specimen:
@@ -257,40 +266,22 @@ def _select_with_modulus(args) -> catalog.Specimen:
     return spec.with_young_modulus(modulus[0]) if modulus else spec
 
 
+_CATALOG_HEADER = (
+    "id", "dimension_source", "length_um", "width_um", "thickness_um", "gap_um",
+    "young_modulus_gpa", "poisson_ratio",
+)
+
+
 def _cmd_catalog(args) -> int:
-    specimens = _specimens_for(args)
-
-    def csv_writer(sink: TextIO) -> None:
-        sink.write(
-            "id,dimension_source,length_um,width_um,thickness_um,gap_um,"
-            "young_modulus_gpa,poisson_ratio\n"
-        )
-        for s in specimens:
-            sink.write(
-                f"{s.id},{s.dimension_source},{_fmt(s.length_l / _UM)},"
-                f"{_fmt(s.width_w / _UM)},{_fmt(s.thickness_t / _UM)},"
-                f"{_fmt(s.gap_g / _UM)},{_fmt(s.material.young_modulus / 1e9)},"
-                f"{_fmt(s.material.poisson_ratio)}\n"
-            )
-
-    def json_obj() -> dict:
-        return {
-            "specimens": [
-                {
-                    "id": s.id,
-                    "dimension_source": s.dimension_source,
-                    "length_um": s.length_l / _UM,
-                    "width_um": s.width_w / _UM,
-                    "thickness_um": s.thickness_t / _UM,
-                    "gap_um": s.gap_g / _UM,
-                    "young_modulus_gpa": s.material.young_modulus / 1e9,
-                    "poisson_ratio": s.material.poisson_ratio,
-                }
-                for s in specimens
-            ]
-        }
-
-    _emit(args, csv_writer, json_obj)
+    rows = [
+        dict(zip(_CATALOG_HEADER, (
+            s.id, s.dimension_source, s.length_l / _UM, s.width_w / _UM,
+            s.thickness_t / _UM, s.gap_g / _UM, s.material.young_modulus / 1e9,
+            s.material.poisson_ratio,
+        )))
+        for s in _specimens_for(args)
+    ]
+    _emit(args, lambda sink: _write_csv(sink, _CATALOG_HEADER, rows), {"specimens": rows})
     return EXIT_OK
 
 
@@ -336,7 +327,7 @@ def _cmd_sweep(args) -> int:
     cfg = _solver_config(args)
     _check_sweep_range(args)
     result = voltage_sweep(spec, args.vmax, args.steps, cfg)
-    _emit(args, lambda sink: emit_sweep_csv(result, sink), lambda: _sweep_json_obj(result))
+    _emit(args, lambda sink: emit_sweep_csv(result, sink), _sweep_json_obj(result))
     converged = result.converged_points()
     _maybe_dump_field(
         args, spec, cfg, converged[-1].voltage if converged else None, result.last_state
@@ -370,30 +361,17 @@ def _cmd_band(args) -> int:
     cfg = _solver_config(args)
     _check_sweep_range(args)
     low, high = modulus_band_sweep(spec, e_low, e_high, args.vmax, args.steps, cfg)
-
-    def csv_writer(sink: TextIO) -> None:
-        sink.write("young_modulus_gpa,voltage_V,tip_displacement_um,converged,iterations\n")
-        for e_gpa, sweep in ((e_low / 1e9, low), (e_high / 1e9, high)):
-            for p in sweep.points:
-                sink.write(
-                    f"{_fmt(e_gpa)},{_fmt(p.voltage)},{_fmt6(p.tip_displacement * 1e6)},"
-                    f"{'true' if p.converged else 'false'},{p.iterations}\n"
-                )
-        for e_gpa, sweep in ((e_low / 1e9, low), (e_high / 1e9, high)):
-            if sweep.pull_in is not None:
-                sink.write(
-                    f"# pull_in_V[{_fmt(e_gpa)}]={_fmt(sweep.pull_in.pull_in_voltage)}\n"
-                )
-
-    def json_obj() -> dict:
-        return {
-            "low_modulus_gpa": e_low / 1e9,
-            "high_modulus_gpa": e_high / 1e9,
-            "low": _sweep_json_obj(low),
-            "high": _sweep_json_obj(high),
-        }
-
-    _emit(args, csv_writer, json_obj)
+    sweeps = ((e_low / 1e9, low), (e_high / 1e9, high))
+    rows = [{"young_modulus_gpa": e, **row} for e, sweep in sweeps for row in _sweep_rows(sweep)]
+    comments = [c for e, sweep in sweeps for c in _pull_in_comments(sweep, f"[{_fmt(e)}]")]
+    json_obj = {
+        "low_modulus_gpa": e_low / 1e9,
+        "high_modulus_gpa": e_high / 1e9,
+        "low": _sweep_json_obj(low),
+        "high": _sweep_json_obj(high),
+    }
+    header = ("young_modulus_gpa", *_SWEEP_HEADER)
+    _emit(args, lambda sink: _write_csv(sink, header, rows, _SWEEP_SIX_DIGIT, comments), json_obj)
     return EXIT_OK
 
 
