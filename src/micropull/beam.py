@@ -398,7 +398,6 @@ def newton_solve(
     mesh: BeamMesh,
     f_ext: np.ndarray | Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     start: np.ndarray | None = None,
-    residual_tol: float = 1e-10,
     max_iterations: int = 30,
     tip: float | None = None,
     linear: LinearBeamOperator | None = None,
@@ -447,7 +446,7 @@ def newton_solve(
         rn = float(np.linalg.norm(res))
         history.append(rn)
         tip_gap = None if tip is None else tip - d[-2]
-        floor = residual_tol * max(float(np.linalg.norm(f_lam[3:])), 1e-30) + noise
+        floor = 1e-10 * max(float(np.linalg.norm(f_lam[3:])), 1e-30) + noise
         if rn <= floor and (tip_gap is None or abs(tip_gap) <= 1e-12 * abs(tip)):
             return d, history, True, lam
         if it == max_iterations or not np.isfinite(rn) or max_local > _MAX_LOCAL_ROTATION:
@@ -478,7 +477,6 @@ def solve_nonlinear(
     load: DistributedLoad | None = None,
     tip_force: float = 0.0,
     tip_moment: float = 0.0,
-    residual_tol: float = 1e-10,
     max_iterations: int = 30,
     max_increments: int = 256,
 ) -> DeflectionField:
@@ -500,8 +498,7 @@ def solve_nonlinear(
         ok = True
         for i in range(1, n_inc + 1):
             d, history, ok, _ = newton_solve(
-                mesh, f_ext * (i / n_inc), start=d,
-                residual_tol=residual_tol, max_iterations=max_iterations,
+                mesh, f_ext * (i / n_inc), start=d, max_iterations=max_iterations
             )
             if not ok:
                 break

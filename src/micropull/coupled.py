@@ -152,6 +152,7 @@ class _Runner:
         self.spec = spec
         self.cfg = cfg
         self.mesh = beam.build_mesh(spec, cfg.n_elements)
+        self._solve = self._staggered if cfg.coupling_mode == STAGGERED else self._monolithic
 
     @cached_property
     def linear_op(self) -> beam.LinearBeamOperator:
@@ -176,8 +177,7 @@ class _Runner:
         self, voltage: float, start: beam.DeflectionField | None = None
     ) -> EquilibriumResult:
         started = time.perf_counter()
-        solve = self._staggered if self.cfg.coupling_mode == STAGGERED else self._monolithic
-        result = solve(voltage, start if start is not None else beam.zero_field(self.mesh))
+        result = self._solve(voltage, start if start is not None else beam.zero_field(self.mesh))
         logger.debug(
             "equilibrium V=%.4f: converged=%s iters=%d (%.1f ms)",
             voltage, result.converged, result.iterations,
@@ -275,8 +275,7 @@ class _Runner:
         """Equilibrium at a prescribed tip, V unknown; ``start`` is scaled to it."""
         if start.tip > 0.0:
             start = beam.DeflectionField(self.mesh, start.dofs * (tip / start.tip))
-        solve = self._staggered if self.cfg.coupling_mode == STAGGERED else self._monolithic
-        return solve(1.0, start, tip)
+        return self._solve(1.0, start, tip)
 
 
 def solve_equilibrium(

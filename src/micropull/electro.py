@@ -110,8 +110,8 @@ def _deflection_callable(deflection: DeflectionLike):
     return deflection
 
 
-def _check_gap_open(spec: Specimen, v_of_x, n_samples: int = 512) -> None:
-    x = np.linspace(0.0, spec.length_l, n_samples)
+def _check_gap_open(spec: Specimen, v_of_x) -> None:
+    x = np.linspace(0.0, spec.length_l, 512)
     v = np.asarray(v_of_x(x), dtype=float)
     if not np.all(np.isfinite(v)):
         raise GapClosureError("deflection is not finite over the beam span")

@@ -201,7 +201,7 @@ class TestLinearIsTangentAtRest:
     @pytest.fixture
     def mesh_and_k0(self, st1_1_measured):
         mesh = build_mesh(st1_1_measured, 12)
-        return mesh, beam.LinearBeamOperator(mesh).k0
+        return mesh, dense(beam.LinearBeamOperator(mesh).k_band)
 
     def test_bending_block_is_classical_element(self, mesh_and_k0):
         mesh, k0 = mesh_and_k0
@@ -224,6 +224,20 @@ class TestLinearIsTangentAtRest:
         assert np.all(k0[0::3, 2::3] == 0.0)
         assert np.all(k0[1::3, 0::3] == 0.0)
         assert np.all(k0[2::3, 0::3] == 0.0)
+
+    def test_newton_under_fixed_load_is_cholesky_solve(self, st1_1_measured):
+        # K_t(0) d is exact for the linear structure, so one banded LU step
+        # solves it and the result is the Cholesky solve of the same system.
+        # The two solvers agree to about cond(K) eps: 1e-13 relative at 12
+        # elements, where cond(K[3:, 3:]) is 9e14 in SI units
+        mesh = build_mesh(st1_1_measured, 12)
+        op = beam.LinearBeamOperator(mesh)
+        f_ext = beam.consistent_load_vector(mesh, uniform(0.3), tip_force=1e-6)
+        d, history, ok, lam = beam.newton_solve(mesh, f_ext, linear=op)
+        assert ok and lam == 1.0
+        assert len(history) == 2
+        expected = op.solve(uniform(0.3), tip_force=1e-6).dofs
+        np.testing.assert_allclose(d, expected, rtol=1e-12, atol=0.0)
 
     def test_linear_solve_has_zero_axial(self, st1_1_measured):
         mesh = build_mesh(st1_1_measured, 12)
@@ -252,7 +266,7 @@ class TestBandAssembly:
 
     def test_at_rest(self, mesh):
         k_band = self.assert_matches_reference(mesh, np.zeros(3 * mesh.n_nodes))
-        assert np.array_equal(beam.LinearBeamOperator(mesh).k0, dense(k_band))
+        assert np.array_equal(dense(beam.LinearBeamOperator(mesh).k_band), dense(k_band))
 
     def test_random_bent_state(self, mesh):
         self.assert_matches_reference(mesh, bent_state(mesh, 11, 0.05))
@@ -462,7 +476,7 @@ class TestTransverseLoadOperators:
         assert ok and lam == 1.0
         assert len(history) == 2
         f0 = g.T @ (w * np.full(len(w), q0))
-        expected = np.linalg.solve((linear.k0 - dense(k_load))[3:, 3:], f0[3:])
+        expected = np.linalg.solve(dense(linear.k_band - k_load)[3:, 3:], f0[3:])
         np.testing.assert_allclose(
             d[3:], expected, rtol=1e-9, atol=1e-12 * np.abs(expected).max()
         )
