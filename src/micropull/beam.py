@@ -35,6 +35,7 @@ from typing import Callable
 
 import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded, solve_banded
+from scipy.linalg.blas import dgbmv
 
 from .catalog import Specimen
 from .errors import ConvergenceError
@@ -246,17 +247,12 @@ class LinearBeamOperator:
 
     ``k_band`` is K_t(0) from ``corotational_internal``, clamped node
     included; the clamped-reduced part is factored once by banded Cholesky.
-    ``k0`` is the same matrix dense, for the linear internal force K_t(0) d.
     """
 
     def __init__(self, mesh: BeamMesh):
         self.mesh = mesh
         _, self.k_band, _ = corotational_internal(mesh, np.zeros(3 * mesh.n_nodes))
         self.k_band.setflags(write=False)
-        n = self.k_band.shape[1]
-        diagonals = zip(self.k_band, range(_HALF_BAND, -_HALF_BAND - 1, -1))  # row r: j - i = 5 - r
-        self.k0 = sum(np.diag(row[max(k, 0) : n + min(k, 0)], k) for row, k in diagonals)
-        self.k0.setflags(write=False)
         self._factor = cholesky_banded(self.k_band[: _HALF_BAND + 1, 3:], lower=False)
 
     def solve(
@@ -437,9 +433,11 @@ def newton_solve(
                 return d, history, False, lam
             noise = assembly_noise_floor(mesh, d)
         else:
-            f_int, k_t, max_local = linear.k0 @ d, linear.k_band, 0.0
-            # matvec roundoff bound for the K d internal force
-            noise = 4.0 * np.finfo(float).eps * float(np.linalg.norm(np.abs(linear.k0) @ np.abs(d)))
+            # K d from the band, which is BLAS gbmv storage, and its matvec roundoff bound
+            k_t, max_local, n = linear.k_band, 0.0, d.size
+            f_int = dgbmv(n, n, _HALF_BAND, _HALF_BAND, 1.0, k_t, d)
+            bound = dgbmv(n, n, _HALF_BAND, _HALF_BAND, 1.0, np.abs(k_t), np.abs(d))
+            noise = 4.0 * np.finfo(float).eps * float(np.linalg.norm(bound))
         f_lam = lam * f_ext
         res = f_lam - f_int
         res[:3] = 0.0

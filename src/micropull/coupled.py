@@ -317,17 +317,22 @@ def _pull_in_search(runner: _Runner, cap: float) -> PullInResult:
         solve_at(x)
     for _ in range(100):
         top = sorted(solved, key=lambda t: solved[t].voltage, reverse=True)[:3]
-        best, v_max = top[0], solved[top[0]].voltage
-        c2, c1, c0 = np.polyfit(top, [solved[t].voltage for t in top], 2)
+        best, x1, x2 = top
+        v_max, v1, v2 = (solved[t].voltage for t in top)
+        # the parabola through the three points by divided differences: its
+        # slope between the first two and its curvature c2
+        s1 = (v1 - v_max) / (x1 - best)
+        c2 = ((v2 - v1) / (x2 - x1) - s1) / (x2 - best)
         span = max(top) - min(top)
         lo = max(min(top) - span, 0.5 * min(top))
         hi = min(max(top) + span, 0.5 * (max(top) + 1.0))
         if c2 >= 0.0:  # the highest point is an end one: step beyond it
             solve_at(hi if best == max(top) else lo)
             continue
-        vertex, peak = -0.5 * c1 / c2, c0 - 0.25 * c1 * c1 / c2
+        vertex = 0.5 * (best + x1 - s1 / c2)
+        gain = -c2 * (vertex - best) ** 2  # of the parabola's peak over v_max
         # the parabola through the fixed start points is never final
-        if len(solved) == 3 or not lo <= vertex <= hi or peak - v_max >= 0.25 * tol:
+        if len(solved) == 3 or not lo <= vertex <= hi or gain >= 0.25 * tol:
             solve_at(min(max(vertex, lo), hi))
             continue
         left = [t for t in solved if t < best and solved[t].voltage < v_max]
@@ -339,7 +344,7 @@ def _pull_in_search(runner: _Runner, cap: float) -> PullInResult:
                 deflection=found.deflection,
             )
         # where the parabola drops tol / 2 below the maximum, else bisect
-        x = vertex - np.sqrt((peak - v_max + 0.5 * tol) / -c2)
+        x = vertex - np.sqrt((gain + 0.5 * tol) / -c2)
         solve_at(x if low < x < best else 0.5 * (low + best))
     raise PullInNotFoundError(f"pull-in search for {spec.id} did not settle")
 
