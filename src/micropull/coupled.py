@@ -152,7 +152,6 @@ class _Runner:
         self.spec = spec
         self.cfg = cfg
         self.mesh = beam.build_mesh(spec, cfg.n_elements)
-        self._solve = self._staggered if cfg.coupling_mode == STAGGERED else self._monolithic
 
     @cached_property
     def linear_op(self) -> beam.LinearBeamOperator:
@@ -184,6 +183,11 @@ class _Runner:
             1e3 * (time.perf_counter() - started),
         )
         return result
+
+    def _solve(self, voltage: float, start: beam.DeflectionField, tip: float | None = None):
+        """``_staggered`` or ``_monolithic``, as the coupling mode selects."""
+        solve = self._staggered if self.cfg.coupling_mode == STAGGERED else self._monolithic
+        return solve(voltage, start, tip)
 
     def _structural_solve(self, load, warm: beam.DeflectionField, tip: float | None = None):
         """Solve under ``load``, or with ``tip`` under lam times it with the tip
