@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -19,6 +20,7 @@ from micropull import (
 )
 
 UM = 1e-6
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 # Printed reference ratio tables for the built-in catalog (3-decimal rounding).
 REFERENCE_RATIOS_NOMINAL = {
@@ -210,6 +212,12 @@ class TestFileIO:
         save_specimens(str(path), catalog)
         loaded = load_specimens(str(path))
         assert loaded == catalog
+
+    def test_saved_catalog_bytes_match_golden(self, catalog, tmp_path):
+        # the file format is a contract: field names, order, units and floats
+        path = tmp_path / "specimens.json"
+        save_specimens(str(path), catalog)
+        assert path.read_bytes() == (GOLDEN / "specimens-builtin.json").read_bytes()
 
     def test_single_specimen_matches_builtin(self, catalog, tmp_path):
         path = tmp_path / "one.json"
