@@ -7,8 +7,9 @@ in the wafer plane, so ``thickness_t`` is the bending-direction dimension
 and ``width_w`` is the out-of-plane electrode depth.  The bending second
 moment of area is therefore I = w * t**3 / 12.
 
-All stored values are SI; file I/O converts from the micrometre/GPa
-field names of the specimen file format.
+All stored values are SI.  The specimen record (``specimen_record``) is
+the one micrometre/GPa form: the built-in table, the specimen file and the
+CLI catalog all convert through it.
 """
 
 from __future__ import annotations
@@ -34,16 +35,10 @@ HIGH_COMPLIANCE_THRESHOLD = 0.005     # r3 = t/l at or below: very compliant bea
 
 @dataclass(frozen=True)
 class Material:
-    """Isotropic elastic material.
-
-    ``label`` is descriptive metadata; two materials with the same elastic
-    constants compare equal regardless of it (the specimen file format does
-    not carry labels).
-    """
+    """Isotropic elastic material."""
 
     young_modulus: float  # Pa
     poisson_ratio: float
-    label: str = field(default="", compare=False)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.young_modulus < math.inf:
@@ -129,8 +124,6 @@ class BehaviourFlags:
     high_compliance: bool
 
 
-_POLYSILICON = Material(young_modulus=166e9, poisson_ratio=0.23, label="epitaxial polysilicon")
-
 # (id, l, w, t, g) in micrometres, as designed.
 _NOMINAL_UM = (
     ("ST1-1", 100.0, 15.0, 2.0, 5.0),
@@ -157,40 +150,50 @@ _MEASURED_UM = (
 )
 
 _UM = 1e-6
+# file field -> Specimen attribute of the four lengths, micrometres in the file
+_LENGTHS = {
+    "length_um": "length_l",
+    "width_um": "width_w",
+    "thickness_um": "thickness_t",
+    "gap_um": "gap_g",
+}
+_RECORD_FIELDS = ("id", *_LENGTHS, "young_modulus_gpa", "poisson_ratio", "dimension_source")
+
+
+def specimen_record(spec: Specimen) -> dict:
+    """The specimen as a file record: micrometres, GPa, fields in file order."""
+    return {
+        "id": spec.id,
+        **{name: getattr(spec, attr) / _UM for name, attr in _LENGTHS.items()},
+        "young_modulus_gpa": spec.material.young_modulus / 1e9,
+        "poisson_ratio": spec.material.poisson_ratio,
+        "dimension_source": spec.dimension_source,
+    }
+
+
+def _from_record(rec: Mapping, tolerances: Mapping[str, float] | None = None) -> Specimen:
+    """The Specimen of a file record; raises TypeError or ValueError on bad values."""
+    material = Material(float(rec["young_modulus_gpa"]) * 1e9, float(rec["poisson_ratio"]))
+    return Specimen(
+        id=str(rec["id"]),
+        **{attr: float(rec[name]) * _UM for name, attr in _LENGTHS.items()},
+        material=material,
+        dimension_source=str(rec["dimension_source"]),
+        tolerances=tolerances,
+    )
 
 
 def builtin_catalog() -> list[Specimen]:
     """The 16 built-in specimens: 8 nominal layouts plus their measured variants."""
-    specimens: list[Specimen] = []
-    for sid, l, w, t, g in _NOMINAL_UM:
-        specimens.append(
-            Specimen(
-                id=sid,
-                length_l=l * _UM,
-                width_w=w * _UM,
-                thickness_t=t * _UM,
-                gap_g=g * _UM,
-                material=_POLYSILICON,
-                dimension_source=NOMINAL,
-            )
-        )
+
+    def record(row, source: str) -> dict:
+        # row: id and the four lengths; all are epitaxial polysilicon
+        return dict(zip(_RECORD_FIELDS, (*row, 166.0, 0.23, source)))
+
+    specimens = [_from_record(record(row, NOMINAL)) for row in _NOMINAL_UM]
     for sid, l, tol_l, t, tol_t, g, tol_g in _MEASURED_UM:
-        specimens.append(
-            Specimen(
-                id=sid,
-                length_l=l * _UM,
-                width_w=15.0 * _UM,
-                thickness_t=t * _UM,
-                gap_g=g * _UM,
-                material=_POLYSILICON,
-                dimension_source=MEASURED,
-                tolerances={
-                    "length_l": tol_l * _UM,
-                    "thickness_t": tol_t * _UM,
-                    "gap_g": tol_g * _UM,
-                },
-            )
-        )
+        tolerances = {"length_l": tol_l * _UM, "thickness_t": tol_t * _UM, "gap_g": tol_g * _UM}
+        specimens.append(_from_record(record((sid, l, 15.0, t, g), MEASURED), tolerances))
     return specimens
 
 
@@ -233,26 +236,6 @@ def select_specimen(
     return matches[0]
 
 
-_FILE_FIELDS = (
-    "id",
-    "length_um",
-    "width_um",
-    "thickness_um",
-    "gap_um",
-    "young_modulus_gpa",
-    "poisson_ratio",
-    "dimension_source",
-)
-
-# file field -> Specimen field, for diagnostics
-_FIELD_MAP = {
-    "length_um": "length_l",
-    "width_um": "width_w",
-    "thickness_um": "thickness_t",
-    "gap_um": "gap_g",
-}
-
-
 def load_specimens(path: str) -> list[Specimen]:
     """Parse a specimen file (JSON, micrometre/GPa units) into Specimen values.
 
@@ -261,7 +244,7 @@ def load_specimens(path: str) -> list[Specimen]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise SpecimenFormatError(f"{path}: not valid JSON: {exc}") from exc
 
     if not isinstance(doc, dict) or "specimens" not in doc:
@@ -275,30 +258,15 @@ def load_specimens(path: str) -> list[Specimen]:
         where = f"{path}: specimens[{i}]"
         if not isinstance(entry, dict):
             raise SpecimenFormatError(f"{where}: entry must be an object")
-        for name in _FILE_FIELDS:
+        for name in _RECORD_FIELDS:
             if name not in entry:
-                internal = _FIELD_MAP.get(name)
-                alias = f" ({internal})" if internal else ""
+                alias = f" ({_LENGTHS[name]})" if name in _LENGTHS else ""
                 raise SpecimenFormatError(f"{where}: missing field '{name}'{alias}")
-        extra = set(entry) - set(_FILE_FIELDS)
+        extra = set(entry) - set(_RECORD_FIELDS)
         if extra:
             raise SpecimenFormatError(f"{where}: unknown field(s) {sorted(extra)}")
         try:
-            material = Material(
-                young_modulus=float(entry["young_modulus_gpa"]) * 1e9,
-                poisson_ratio=float(entry["poisson_ratio"]),
-            )
-            specimens.append(
-                Specimen(
-                    id=str(entry["id"]),
-                    length_l=float(entry["length_um"]) * _UM,
-                    width_w=float(entry["width_um"]) * _UM,
-                    thickness_t=float(entry["thickness_um"]) * _UM,
-                    gap_g=float(entry["gap_um"]) * _UM,
-                    material=material,
-                    dimension_source=str(entry["dimension_source"]),
-                )
-            )
+            specimens.append(_from_record(entry))
         except (TypeError, ValueError) as exc:
             raise SpecimenFormatError(f"{where}: {exc}") from exc
     return specimens
@@ -306,21 +274,7 @@ def load_specimens(path: str) -> list[Specimen]:
 
 def save_specimens(path: str, specimens: Iterable[Specimen]) -> None:
     """Write specimens in the file format accepted by load_specimens."""
-    doc = {
-        "specimens": [
-            {
-                "id": s.id,
-                "length_um": s.length_l / _UM,
-                "width_um": s.width_w / _UM,
-                "thickness_um": s.thickness_t / _UM,
-                "gap_um": s.gap_g / _UM,
-                "young_modulus_gpa": s.material.young_modulus / 1e9,
-                "poisson_ratio": s.material.poisson_ratio,
-                "dimension_source": s.dimension_source,
-            }
-            for s in specimens
-        ]
-    }
+    doc = {"specimens": [specimen_record(s) for s in specimens]}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")

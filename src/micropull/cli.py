@@ -31,8 +31,6 @@ EXIT_USAGE = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_FILE = 4
 
-_UM = 1e-6
-
 
 class _UsageError(Exception):
     pass
@@ -273,14 +271,8 @@ _CATALOG_HEADER = (
 
 
 def _cmd_catalog(args) -> int:
-    rows = [
-        dict(zip(_CATALOG_HEADER, (
-            s.id, s.dimension_source, s.length_l / _UM, s.width_w / _UM,
-            s.thickness_t / _UM, s.gap_g / _UM, s.material.young_modulus / 1e9,
-            s.material.poisson_ratio,
-        )))
-        for s in _specimens_for(args)
-    ]
+    records = map(catalog.specimen_record, _specimens_for(args))
+    rows = [{key: rec[key] for key in _CATALOG_HEADER} for rec in records]
     _emit(args, lambda sink: _write_csv(sink, _CATALOG_HEADER, rows), {"specimens": rows})
     return EXIT_OK
 

@@ -49,6 +49,9 @@ STAGGERED = "staggered"
 MONOLITHIC = "monolithic"
 _COUPLING_MODES = (STAGGERED, MONOLITHIC)
 
+COUPLING_TOLERANCE = 1e-6  # a coupling loop stops at this relative tip (or V^2) change
+VOLTAGE_CAP = 10_000.0  # the pull-in search gives up above this voltage
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -59,11 +62,9 @@ class SolverConfig:
         default_factory=electro.LoadModelConfig
     )
     coupling_mode: str = STAGGERED
-    coupling_tolerance: float = 1e-6  # relative tip (or V^2) change
     max_coupling_iterations: int = 100
     pull_in_bracket_tolerance: float = 0.1  # volts
     n_elements: int = 40
-    voltage_cap: float = 10_000.0  # pull-in search gives up above this
 
     def __post_init__(self) -> None:
         if self.structural_mode not in _STRUCTURAL_MODES:
@@ -72,15 +73,12 @@ class SolverConfig:
             raise ValueError(f"coupling_mode must be one of {_COUPLING_MODES}")
         if self.coupling_mode == MONOLITHIC and self.load_model.kind != electro.PARALLEL_PLATE:
             raise ValueError("monolithic coupling supports the parallel_plate load model only")
-        for name in ("coupling_tolerance", "pull_in_bracket_tolerance"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite")
+        if not 0.0 < self.pull_in_bracket_tolerance < math.inf:
+            raise ValueError("pull_in_bracket_tolerance must be positive and finite")
         if self.max_coupling_iterations < 1:
             raise ValueError("max_coupling_iterations must be at least 1")
         if self.n_elements < beam.MIN_ELEMENTS:
             raise ValueError(f"n_elements must be at least {beam.MIN_ELEMENTS}")
-        if not self.voltage_cap > 0.0:
-            raise ValueError("voltage_cap must be positive")
 
 
 @dataclass(frozen=True)
@@ -238,7 +236,7 @@ class _Runner:
                 self.mesh, fld.dofs + omega * (solved.dofs - fld.dofs)
             )
             now = relaxed.tip if tip is None else lam
-            if abs(now - settled) <= cfg.coupling_tolerance * max(abs(now), floor):
+            if abs(now - settled) <= COUPLING_TOLERANCE * max(abs(now), floor):
                 found = voltage if tip is None else voltage * math.sqrt(lam)
                 return EquilibriumResult(relaxed, True, it, found)
             prev, fld = fld, relaxed
@@ -255,15 +253,15 @@ class _Runner:
         iterations count the load evaluations, and a failure reports ``start``."""
         spec, (g_mat, weights, stiffness) = self.spec, self.load_operators
         f_coeff = self.cfg.load_model.fringing_coefficient
-        dq_dv = electro.plate_load_derivative(spec, voltage, f_coeff)
         evals = 0
 
         def load(d: np.ndarray):
             nonlocal evals
             evals += 1
-            v_pts = g_mat @ d
-            q = electro.plate_load_on_gap(spec, spec.gap_g - v_pts, voltage, f_coeff)
-            return g_mat.T @ (weights * q), stiffness(weights * dq_dv(v_pts))
+            gap = spec.gap_g - g_mat @ d
+            q = electro.plate_load_on_gap(spec, gap, voltage, f_coeff)
+            dq_dv = electro.plate_load_slope_on_gap(spec, gap, voltage, f_coeff)
+            return g_mat.T @ (weights * q), stiffness(weights * dq_dv)
 
         linear = self.linear_op if self.cfg.structural_mode == LINEAR else None
         try:
@@ -356,11 +354,11 @@ def _pull_in_search(runner: _Runner, cap: float) -> PullInResult:
 def find_pull_in(spec: Specimen, config: SolverConfig | None = None) -> PullInResult:
     """Pull-in as the maximum of the equilibrium voltage over the tip deflection.
 
-    Raises PullInNotFoundError if that maximum lies above ``voltage_cap``
+    Raises PullInNotFoundError if that maximum lies above ``VOLTAGE_CAP``
     or a solve at a prescribed tip fails.
     """
     cfg = config or SolverConfig()
-    return _pull_in_search(_Runner(spec, cfg), cfg.voltage_cap)
+    return _pull_in_search(_Runner(spec, cfg), VOLTAGE_CAP)
 
 
 def voltage_sweep(

@@ -42,6 +42,13 @@ PARALLEL_PLATE = "parallel_plate"
 FIELD_2D = "field2d"
 _LOAD_KINDS = (PARALLEL_PLATE, FIELD_2D)
 
+# The normal-field trace on the beam face averages the potential drop over
+# this fraction of the local gap.  Tying the depth to the gap rather than to
+# the mesh keeps the extracted trace, and with it the integrated force,
+# mesh-convergent despite the field concentration at the free tip, where the
+# unsmoothed trace has no finite pointwise limit.
+FACE_PROBE_FRACTION = 1.0 / 8.0
+
 # Transverse deflection as a function of axial position: either a solved
 # field or any vectorized callable (None means the undeformed beam).
 DeflectionLike = DeflectionField | Callable[[np.ndarray], np.ndarray] | None
@@ -49,22 +56,13 @@ DeflectionLike = DeflectionField | Callable[[np.ndarray], np.ndarray] | None
 
 @dataclass(frozen=True)
 class LoadModelConfig:
-    """Electrostatic load model selection and field-mesh resolution.
-
-    ``face_probe_fraction`` sets the physical depth (as a fraction of the
-    local gap) over which the potential drop is averaged to form the
-    normal-field trace on the beam face.  Tying it to the gap rather than
-    to the mesh keeps the extracted trace, and with it the integrated
-    force, mesh-convergent despite the field concentration at the free
-    tip, where the unsmoothed trace has no finite pointwise limit.
-    """
+    """Electrostatic load model selection and field-mesh resolution."""
 
     kind: str = FIELD_2D
     fringing_coefficient: float = 0.65
     cells_across_gap: int = 24
     cells_along_beam: int = 160
     tip_extension_gaps: float = 2.0
-    face_probe_fraction: float = 1.0 / 8.0
 
     def __post_init__(self) -> None:
         if self.kind not in _LOAD_KINDS:
@@ -77,8 +75,6 @@ class LoadModelConfig:
             raise ValueError("cells_along_beam must be at least 40")
         if not 0.0 <= self.tip_extension_gaps < np.inf:
             raise ValueError("tip_extension_gaps must be finite and non-negative")
-        if not 0.0 < self.face_probe_fraction <= 0.25:
-            raise ValueError("face_probe_fraction must be in (0, 0.25]")
 
 
 @dataclass(frozen=True)
@@ -155,28 +151,13 @@ def plate_load_on_gap(spec: Specimen, gap, voltage: float, fringing_coefficient:
     )
 
 
-def plate_load_derivative(
-    spec: Specimen,
-    voltage: float,
-    fringing_coefficient: float = 0.65,
-):
-    """d q / d v for the plate load, as a function of (x, v) arrays.
-
-    Differentiating the load expression in v gives
-    eps0 w V^2 / (g - v)^3 * (1 + f (g - v) / (2 w)).
-    """
-    g = spec.gap_g
+def plate_load_slope_on_gap(spec: Specimen, gap, voltage: float, fringing_coefficient: float):
+    """d q / d v of ``plate_load_on_gap`` on the same open gaps g - v:
+    eps0 w V^2 / (g - v)^3 * (1 + f (g - v) / (2 w))."""
     w = spec.width_w
-    f = fringing_coefficient
-    scale = VACUUM_PERMITTIVITY * w * voltage**2
-
-    def dq_dv(v: np.ndarray) -> np.ndarray:
-        gap = g - np.asarray(v, dtype=float)
-        if np.any(gap <= 0.0):
-            raise GapClosureError("gap closed during load-derivative evaluation")
-        return scale / gap**3 * (1.0 + 0.5 * f * gap / w)
-
-    return dq_dv
+    return VACUUM_PERMITTIVITY * w * voltage**2 / gap**3 * (
+        1.0 + 0.5 * fringing_coefficient * gap / w
+    )
 
 
 @dataclass(frozen=True)
@@ -351,7 +332,7 @@ def solve_field2d(
 
     # normal-field trace: potential drop over a fixed fraction of the local
     # gap, interpolated along each column (exact for a gap-wise linear field)
-    eta = cfg.face_probe_fraction
+    eta = FACE_PROBE_FRACTION
     pos = eta * ny
     j0 = min(int(pos), ny - 1)
     wgt = pos - j0

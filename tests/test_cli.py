@@ -256,11 +256,19 @@ class TestExitCodes:
         code, _ = run_cli(capsys, "catalog", "--file", "/nonexistent/specimens.json")
         assert code == 4
 
-    def test_malformed_file_is_file_error(self, capsys, tmp_path):
+    @pytest.mark.parametrize("content", [
+        b"{not json",
+        b'\xff\xfe{"specimens": []}',  # not UTF-8
+        b"[" * 100_000,  # nested deeper than the decoder's recursion limit
+    ], ids=["invalid-json", "not-utf8", "deeply-nested"])
+    def test_malformed_file_is_file_error(self, capsys, tmp_path, content):
         bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        code, _ = run_cli(capsys, "catalog", "--file", str(bad))
+        bad.write_bytes(content)
+        code = run(["catalog", "--file", str(bad)])
+        err = capsys.readouterr().err
         assert code == 4
+        assert err.count("\n") == 1
+        assert err.startswith("micropull: file error:")
 
     def test_bad_arguments_usage_error(self, capsys):
         code, _ = run_cli(capsys, "sweep", "--id", "ST1-1")  # missing --vmax

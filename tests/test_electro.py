@@ -16,10 +16,11 @@ from micropull import (
     solve_field2d,
 )
 from micropull.electro import (
+    FACE_PROBE_FRACTION,
     _field_pattern,
     dump_field_csv,
     integrated_face_force,
-    plate_load_derivative,
+    plate_load_slope_on_gap,
 )
 
 
@@ -38,7 +39,6 @@ class TestLoadModelConfig:
         {"cells_across_gap": 7},
         {"cells_along_beam": 39},
         {"tip_extension_gaps": -1.0},
-        {"face_probe_fraction": 0.0},
         {"tip_extension_gaps": float("nan")},
         {"tip_extension_gaps": float("inf")},
     ])
@@ -88,7 +88,7 @@ class TestPlateLoad:
             qp = plate_load(s, lambda xx: np.full_like(xx, v0 + dv), 70.0, f)(x)[0]
             qm = plate_load(s, lambda xx: np.full_like(xx, v0 - dv), 70.0, f)(x)[0]
             fd = (qp - qm) / (2.0 * dv)
-            analytic = plate_load_derivative(s, 70.0, f)(np.array([v0]))[0]
+            analytic = plate_load_slope_on_gap(s, s.gap_g - np.array([v0]), 70.0, f)[0]
             assert analytic == pytest.approx(fd, rel=1e-6)
 
 
@@ -169,7 +169,7 @@ class TestField2D:
             solve_field2d(s, spike, self.V, LoadModelConfig())
 
 
-def reference_field(fs, n_beam: int, cfg: LoadModelConfig):
+def reference_field(fs, n_beam: int):
     """Reference solve on the grid of ``fs``: global COO assembly, submatrix
     slicing, the default-ordering sparse solve and charges from K phi.
 
@@ -210,11 +210,11 @@ def reference_field(fs, n_beam: int, cfg: LoadModelConfig):
     reaction = k @ phi
 
     grid = phi.reshape(nx + 1, ny + 1)
-    pos = cfg.face_probe_fraction * ny
+    pos = FACE_PROBE_FRACTION * ny
     j0 = min(int(pos), ny - 1)
     probe = (1.0 - (pos - j0)) * grid[: n_beam + 1, j0] + (pos - j0) * grid[: n_beam + 1, j0 + 1]
     local_gap = y[: n_beam + 1, -1] - y[: n_beam + 1, 0]
-    face_field = (voltage - probe) / (cfg.face_probe_fraction * local_gap)
+    face_field = (voltage - probe) / (FACE_PROBE_FRACTION * local_gap)
     return (
         grid,
         face_field,
@@ -225,7 +225,7 @@ def reference_field(fs, n_beam: int, cfg: LoadModelConfig):
 
 def assert_matches_reference(fs, cfg: LoadModelConfig, rel=1e-12):
     n_beam = cfg.cells_along_beam
-    potential, face_field, beam_q, counter_q = reference_field(fs, n_beam, cfg)
+    potential, face_field, beam_q, counter_q = reference_field(fs, n_beam)
     assert fs.potential.shape == potential.shape
     assert np.max(np.abs(fs.potential - potential)) <= rel * abs(fs.voltage)
     assert np.max(np.abs(fs.face_field - face_field)) <= rel * np.max(np.abs(face_field))
