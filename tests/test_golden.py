@@ -1,7 +1,8 @@
 """CLI output against committed goldens, byte for byte.
 
-Each golden under ``tests/golden/`` is the standard output of one command
-line run through ``cli.run``: ``<case>.csv``, or ``<case>`` itself for the
+Each golden under ``tests/golden/`` but ``specimens-builtin.json`` (the
+saved-file golden of ``tests/test_catalog.py``) is the standard output of
+one command line run through ``cli.run``: ``<case>.csv``, or ``<case>`` itself for the
 ``.json`` cases, which add ``--format json``.  A refactor that keeps the algorithm must keep
 these bytes.  To record them again from the current tree (only where a
 change of output is intended and explained):
