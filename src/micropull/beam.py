@@ -34,8 +34,8 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded, solve_banded
 from scipy.linalg.blas import dgbmv
+from scipy.linalg.lapack import get_lapack_funcs
 
 from .catalog import Specimen
 from .errors import ConvergenceError
@@ -56,8 +56,12 @@ _GAUSS_W = np.array([5.0, 8.0, 5.0]) / 18.0
 # a Newton iterate that reaches them counts as diverged.
 _MAX_LOCAL_ROTATION = 1.4
 
+_EPS = np.finfo(float).eps
 _HALF_BAND = 5  # of the tangents in band storage
 _BAND_ROWS = 2 * _HALF_BAND + 1
+
+# LAPACK's banded LU solve and banded Cholesky, called without scipy.linalg's wrappers
+_GBSV, _PBTRF, _PBTRS = get_lapack_funcs(("gbsv", "pbtrf", "pbtrs"), dtype=np.float64)
 
 # Corotational element tangent over (u_a, v_a, theta_a, u_b, v_b, theta_b): entry (p, q) is
 # value _BLOCK[p, q] of (A00, A01, A11, 6 EI/l a, 6 EI/l b, 4 EI/l, 2 EI/l) and of the first
@@ -183,7 +187,7 @@ def _evaluate_load(load: DistributedLoad, x: np.ndarray) -> np.ndarray:
     q = np.asarray(load(x), dtype=float)
     if q.shape != x.shape:
         q = np.broadcast_to(q, x.shape).astype(float)
-    if not np.all(np.isfinite(q)):
+    if not np.isfinite(q).all():
         raise ValueError("distributed load returned non-finite values")
     return q
 
@@ -253,7 +257,7 @@ class LinearBeamOperator:
         self.mesh = mesh
         _, self.k_band, _ = corotational_internal(mesh, np.zeros(3 * mesh.n_nodes))
         self.k_band.setflags(write=False)
-        self._factor = cholesky_banded(self.k_band[: _HALF_BAND + 1, 3:], lower=False)
+        self._factor = _lapack(_PBTRF, self.k_band[: _HALF_BAND + 1, 3:])
 
     def solve(
         self,
@@ -263,7 +267,7 @@ class LinearBeamOperator:
     ) -> DeflectionField:
         f = consistent_load_vector(self.mesh, load, tip_force, tip_moment)
         d = np.zeros_like(f)
-        d[3:] = cho_solve_banded((self._factor, False), f[3:])
+        d[3:] = _lapack(_PBTRS, self._factor, f[3:])
         return DeflectionField(self.mesh, d)
 
 
@@ -288,20 +292,22 @@ def _wrap_angle(a: np.ndarray) -> np.ndarray:
     would put a floor under the Newton residual; small angles pass through
     exactly.
     """
-    wrapped = (a + np.pi) % (2.0 * np.pi) - np.pi
-    return np.where(np.abs(a) > np.pi, wrapped, a)
+    outside = np.abs(a) > np.pi
+    if not outside.any():
+        return a
+    return np.where(outside, (a + np.pi) % (2.0 * np.pi) - np.pi, a)
 
 
 @lru_cache(maxsize=None)
 def _element_scatter(n_elements: int):
-    """Flat (value, band) indices of the element blocks' node-a columns, then of
-    the node-b ones, each set free of repeats; block entry (p, q) of element e
-    is value _BLOCK[p, q] of e and lands at band (5 + p - q, 3 e + q)."""
+    """Flat (value, band) indices of the element blocks: block entry (p, q) of
+    element e is value _BLOCK[p, q] of e and lands at band (5 + p - q, 3 e + q).
+    A band entry gets at most two values, so any summation order gives the same bits."""
     e = np.arange(n_elements)[:, None, None]
     p, q = np.indices((6, 6))
     src = _BLOCK * n_elements + e
     dst = (_HALF_BAND + p - q) * (3 * n_elements + 3) + 3 * e + q
-    return [(src[..., cols].ravel(), dst[..., cols].ravel()) for cols in (np.s_[:3], np.s_[3:])]
+    return src.ravel(), dst.ravel()
 
 
 def corotational_internal(mesh: BeamMesh, dofs: np.ndarray):
@@ -339,8 +345,12 @@ def corotational_internal(mesh: BeamMesh, dofs: np.ndarray):
     fx = c * axial_n + a * m_a + a * m_b
     fy = b * m_a - s * axial_n + b * m_b
     f_int = np.zeros((mesh.n_nodes, 3))
-    f_int[:-1] += np.array([-fx, fy, m_a]).T
-    f_int[1:] += np.array([fx, -fy, m_b]).T
+    f_int[:-1, 0] -= fx
+    f_int[:-1, 1] += fy
+    f_int[:-1, 2] += m_a
+    f_int[1:, 0] += fx
+    f_int[1:, 1] -= fy
+    f_int[1:, 2] += m_b
 
     cc, ss, cs = c * c, s * s, c * s
     ea_l = mesh.axial_rigidity / l0
@@ -352,9 +362,8 @@ def corotational_internal(mesh: BeamMesh, dofs: np.ndarray):
         ei_l * (6.0 * a), ei_l * (6.0 * b), 4.0 * ei_l, 2.0 * ei_l,
     ])
     vals = np.concatenate([base, -base[:5]]).ravel()
-    k_band = np.zeros(_BAND_ROWS * 3 * mesh.n_nodes)
-    for src, dst in _element_scatter(mesh.n_elements):
-        k_band[dst] += vals[src]
+    src, dst = _element_scatter(mesh.n_elements)
+    k_band = np.bincount(dst, vals[src], _BAND_ROWS * 3 * mesh.n_nodes)
     return f_int.ravel(), k_band.reshape(_BAND_ROWS, -1), max_local
 
 
@@ -364,9 +373,28 @@ def solve_clamped_banded(k_band: np.ndarray, rhs_full: np.ndarray) -> np.ndarray
     ``k_band`` is the tangent in band storage, clamped node included.  Its
     columns from 3 on hold K[3:, 3:] in band storage; the couplings to the
     clamped node left in them sit in the corner LAPACK never references.
+    ``rhs_full`` is one right-hand side or one column per right-hand side.
+    ``gbsv`` needs _HALF_BAND more rows above the band for its pivoting fill-in.
     """
+    ab = np.zeros((_BAND_ROWS + _HALF_BAND, k_band.shape[1] - 3), order="F")
+    ab[_HALF_BAND:] = k_band[:, 3:]
     out = np.zeros_like(rhs_full)
-    out[3:] = solve_banded((_HALF_BAND, _HALF_BAND), k_band[:, 3:], rhs_full[3:])
+    out[3:] = _lapack(_GBSV, _HALF_BAND, _HALF_BAND, ab, rhs_full[3:], overwrite_ab=True)
+    return out
+
+
+def _lapack(routine, *args, **options) -> np.ndarray:
+    """The solution or factor of a raw LAPACK call, checked as scipy.linalg checks
+    it: ValueError on a non-finite array argument or an illegal value,
+    LinAlgError on a singular (or not positive definite) matrix."""
+    for a in args:
+        if isinstance(a, np.ndarray) and not np.isfinite(a).all():
+            raise ValueError("array must not contain infs or NaNs")
+    *_, out, info = routine(*args, **options)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"singular or not positive definite matrix (LAPACK info {info})")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of a LAPACK call")
     return out
 
 
@@ -378,13 +406,10 @@ def assembly_noise_floor(mesh: BeamMesh, dofs: np.ndarray) -> float:
     resulting force noise a residual cannot be driven further.
     """
     length = mesh.element_length
-    state = max(
-        float(np.max(np.abs(dofs[2::3]))),
-        float(np.max(np.abs(dofs[0::3])) / length),
-        float(np.max(np.abs(dofs[1::3])) / length),
-    )
+    u, v, theta = np.abs(dofs.reshape(-1, 3)).max(axis=0)
+    state = max(float(theta), float(u / length), float(v / length))
     return float(
-        4.0 * np.finfo(float).eps * np.sqrt(dofs.size)
+        4.0 * _EPS * np.sqrt(dofs.size)
         * (mesh.bending_rigidity / length**2 * state
            + 0.5 * mesh.axial_rigidity * state * state)
     )
@@ -417,10 +442,11 @@ def newton_solve(
     d = np.zeros(3 * mesh.n_nodes) if start is None else np.array(start, dtype=float)
     lam = 1.0 if tip is None else 0.0
     load_at = f_ext if callable(f_ext) else None
+    # node columns (u, v, theta) of each step cap
     if load_at is None:
-        caps = ((np.s_[2::3], 0.5), (np.arange(d.size) % 3 != 2, 0.3 * mesh.specimen.length_l))
+        caps = ((np.s_[2:], 0.5), (np.s_[:2], 0.3 * mesh.specimen.length_l))
     else:
-        caps = ((np.s_[1::3], 0.2 * mesh.specimen.gap_g),)
+        caps = ((np.s_[1:2], 0.2 * mesh.specimen.gap_g),)
     history: list[float] = []
 
     for it in range(max_iterations + 1):
@@ -437,7 +463,7 @@ def newton_solve(
             k_t, max_local, n = linear.k_band, 0.0, d.size
             f_int = dgbmv(n, n, _HALF_BAND, _HALF_BAND, 1.0, k_t, d)
             bound = dgbmv(n, n, _HALF_BAND, _HALF_BAND, 1.0, np.abs(k_t), np.abs(d))
-            noise = 4.0 * np.finfo(float).eps * float(np.linalg.norm(bound))
+            noise = 4.0 * _EPS * float(np.linalg.norm(bound))
         f_lam = lam * f_ext
         res = f_lam - f_int
         res[:3] = 0.0
@@ -459,11 +485,11 @@ def newton_solve(
                 step = a + dlam * b
         except np.linalg.LinAlgError:
             return d, history, False, lam
-        if not np.all(np.isfinite(step)):
+        if not np.isfinite(step).all():
             return d, history, False, lam
-        scale = 1.0
-        for part, cap in caps:
-            largest = float(np.max(np.abs(step[part])))
+        scale, nodal = 1.0, np.abs(step).reshape(-1, 3)
+        for cols, cap in caps:
+            largest = float(nodal[:, cols].max())
             if largest > cap:
                 scale = min(scale, cap / largest)
         d = d + scale * step

@@ -158,6 +158,7 @@ _LENGTHS = {
     "gap_um": "gap_g",
 }
 _RECORD_FIELDS = ("id", *_LENGTHS, "young_modulus_gpa", "poisson_ratio", "dimension_source")
+_TEXT_FIELDS = ("id", "dimension_source")  # the other six are numbers
 
 
 def specimen_record(spec: Specimen) -> dict:
@@ -172,13 +173,25 @@ def specimen_record(spec: Specimen) -> dict:
 
 
 def _from_record(rec: Mapping, tolerances: Mapping[str, float] | None = None) -> Specimen:
-    """The Specimen of a file record; raises TypeError or ValueError on bad values."""
+    """The Specimen of a file record; raises TypeError or ValueError on bad values.
+
+    Text fields must be strings and the others numbers; a boolean is no number
+    here, although ``float(True)`` is 1.0.
+    """
+    for name in _RECORD_FIELDS:
+        value = rec[name]
+        if name in _TEXT_FIELDS:
+            kind, ok = "string", isinstance(value, str)
+        else:
+            kind, ok = "number", isinstance(value, (int, float)) and not isinstance(value, bool)
+        if not ok:
+            raise TypeError(f"field '{name}' must be a {kind} (got {value!r})")
     material = Material(float(rec["young_modulus_gpa"]) * 1e9, float(rec["poisson_ratio"]))
     return Specimen(
-        id=str(rec["id"]),
+        id=rec["id"],
         **{attr: float(rec[name]) * _UM for name, attr in _LENGTHS.items()},
         material=material,
-        dimension_source=str(rec["dimension_source"]),
+        dimension_source=rec["dimension_source"],
         tolerances=tolerances,
     )
 
@@ -239,7 +252,9 @@ def select_specimen(
 def load_specimens(path: str) -> list[Specimen]:
     """Parse a specimen file (JSON, micrometre/GPa units) into Specimen values.
 
-    Raises SpecimenFormatError with the offending entry and field named.
+    The file has no tolerance fields, so every loaded specimen has
+    ``tolerances=None``.  Raises SpecimenFormatError with the offending entry
+    and field named.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -273,7 +288,11 @@ def load_specimens(path: str) -> list[Specimen]:
 
 
 def save_specimens(path: str, specimens: Iterable[Specimen]) -> None:
-    """Write specimens in the file format accepted by load_specimens."""
+    """Write specimens in the file format accepted by load_specimens.
+
+    ``Specimen.tolerances`` is not written: the format has no field for it, so
+    a save/load round trip keeps every other field and drops the tolerances.
+    """
     doc = {"specimens": [specimen_record(s) for s in specimens]}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from micropull import ConvergenceError, build_mesh, solve_linear, solve_nonlinear
 from micropull import beam
@@ -298,6 +299,57 @@ class TestBandAssembly:
         expected = np.linalg.solve(dense(k_band)[3:, 3:], rhs[3:])
         assert np.all(out[:3] == 0.0)
         assert np.linalg.norm(out[3:] - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+class TestRawLapack:
+    """The raw LAPACK calls give scipy.linalg's wrapped results and errors."""
+
+    @pytest.fixture
+    def mesh(self, st1_1_measured):
+        return build_mesh(st1_1_measured, 12)
+
+    def test_clamped_solve_is_solve_banded_bit_for_bit(self, mesh):
+        d = bent_state(mesh, 29, 0.05)
+        _, k_band, _ = beam.corotational_internal(mesh, d)
+        rng = np.random.default_rng(31)
+        for rhs in (rng.normal(size=d.size), rng.normal(size=(d.size, 2))):
+            out = beam.solve_clamped_banded(k_band, rhs)
+            expected = scipy.linalg.solve_banded((5, 5), k_band[:, 3:], rhs[3:])
+            assert out.shape == rhs.shape
+            assert np.all(out[:3] == 0.0)
+            assert np.array_equal(out[3:], expected)
+
+    def test_operator_solve_is_cho_solve_banded(self, mesh):
+        op = beam.LinearBeamOperator(mesh)
+        factor = scipy.linalg.cholesky_banded(op.k_band[:6, 3:], lower=False)
+        f = beam.consistent_load_vector(mesh, uniform(0.3), tip_force=1e-6)
+        expected = scipy.linalg.cho_solve_banded((factor, False), f[3:])
+        d = op.solve(uniform(0.3), tip_force=1e-6).dofs
+        assert np.all(d[:3] == 0.0)
+        assert np.array_equal(d[3:], expected)
+
+    def test_singular_tangent_fails_the_newton_solve(self, mesh):
+        op = beam.LinearBeamOperator(mesh)
+        f_ext = beam.consistent_load_vector(mesh, uniform(0.3))
+        with pytest.raises(np.linalg.LinAlgError):
+            beam.solve_clamped_banded(np.zeros_like(op.k_band), f_ext)
+        # a load stiffness equal to K_t(0) leaves the Jacobian K_t - K_load zero
+        d, history, ok, _ = beam.newton_solve(mesh, lambda d: (f_ext, op.k_band), linear=op)
+        assert not ok
+        assert len(history) == 1
+        assert np.all(d == 0.0)
+
+    def test_nan_input_raises_value_error(self, mesh):
+        _, k_band, _ = beam.corotational_internal(mesh, bent_state(mesh, 37, 0.05))
+        rhs = np.ones(k_band.shape[1])
+        bad_k, bad_rhs = k_band.copy(), rhs.copy()
+        bad_k[5, 9] = np.nan
+        bad_rhs[9] = np.nan
+        for k, r in ((bad_k, rhs), (k_band, bad_rhs)):
+            with pytest.raises(ValueError):
+                beam.solve_clamped_banded(k, r)
+        with pytest.raises(ValueError):
+            beam.LinearBeamOperator(mesh).solve(tip_force=np.nan)
 
 
 class TestNonlinear:

@@ -1,5 +1,6 @@
 """Specimen catalog: built-in data, aspect ratios, classification, file I/O."""
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -43,6 +44,15 @@ REFERENCE_RATIOS_MEASURED = {
     "ST1-7": (0.019, 0.248, 0.003, 0.180),
     "ST1-8": (0.019, 0.497, 0.003, 0.180),
 }
+
+# a valid file record and the six fields that must be JSON numbers
+GOOD_RECORD = {
+    "id": "x", "length_um": 100.0, "width_um": 15.0, "thickness_um": 2.0, "gap_um": 5.0,
+    "young_modulus_gpa": 166.0, "poisson_ratio": 0.23, "dimension_source": "nominal",
+}
+NUMERIC_FIELDS = (
+    "length_um", "width_um", "thickness_um", "gap_um", "young_modulus_gpa", "poisson_ratio",
+)
 
 
 class TestBuiltinCatalog:
@@ -207,11 +217,37 @@ class TestInvariants:
 
 
 class TestFileIO:
-    def test_round_trip_is_identity_on_catalog(self, catalog, tmp_path):
+    def test_round_trip_keeps_all_but_tolerances(self, catalog, tmp_path):
+        # the file format has no tolerance fields; adding them is a format change
         path = tmp_path / "specimens.json"
         save_specimens(str(path), catalog)
         loaded = load_specimens(str(path))
         assert loaded == catalog
+        kept = [f.name for f in dataclasses.fields(Specimen) if f.name != "tolerances"]
+        assert kept == [
+            "id", "length_l", "width_w", "thickness_t", "gap_g", "material", "dimension_source",
+        ]
+        for before, after in zip(catalog, loaded, strict=True):
+            assert [getattr(after, f) for f in kept] == [getattr(before, f) for f in kept]
+            assert after.tolerances is None
+        assert any(s.tolerances for s in catalog)
+
+    @pytest.mark.parametrize("name,value,kind", [
+        *[(name, flag, "number") for name in NUMERIC_FIELDS for flag in (True, False)],
+        ("thickness_um", "2.0", "number"),
+        ("gap_um", None, "number"),
+        ("id", 7, "string"),
+        ("id", None, "string"),
+        ("dimension_source", 1, "string"),
+    ])
+    def test_wrong_json_type_names_entry_and_field(self, tmp_path, name, value, kind):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"specimens": [GOOD_RECORD, {**GOOD_RECORD, name: value}]}))
+        with pytest.raises(SpecimenFormatError) as err:
+            load_specimens(str(path))
+        message = str(err.value)
+        assert "specimens[1]" in message
+        assert f"field '{name}' must be a {kind}" in message
 
     def test_saved_catalog_bytes_match_golden(self, catalog, tmp_path):
         # the file format is a contract: field names, order, units and floats

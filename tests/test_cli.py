@@ -270,6 +270,22 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert err.startswith("micropull: file error:")
 
+    def test_boolean_number_is_file_error(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"specimens": [{
+            "id": "x", "length_um": 100.0, "width_um": 15.0,
+            "thickness_um": True, "gap_um": 5.0,
+            "young_modulus_gpa": 166.0, "poisson_ratio": 0.23,
+            "dimension_source": "nominal",
+        }]}))
+        code = run(["catalog", "--file", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("micropull: file error: ")
+        assert "thickness_um" in lines[0]
+
     def test_bad_arguments_usage_error(self, capsys):
         code, _ = run_cli(capsys, "sweep", "--id", "ST1-1")  # missing --vmax
         assert code == 2
