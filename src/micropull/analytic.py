@@ -22,8 +22,7 @@ from .constants import VACUUM_PERMITTIVITY
 
 OSTERBERG = "osterberg"
 LUMPED = "lumped"
-FEM = "fem"
-_METHODS = (OSTERBERG, LUMPED, FEM)
+_METHODS = (OSTERBERG, LUMPED)
 
 
 @dataclass(frozen=True)

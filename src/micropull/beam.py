@@ -46,6 +46,8 @@ logger = logging.getLogger(__name__)
 DistributedLoad = Callable[[np.ndarray], np.ndarray]
 
 MIN_ELEMENTS = 4
+NEWTON_ITERATIONS = 30  # a Newton solve fails after this many steps
+LOAD_INCREMENTS = 256  # solve_nonlinear gives up beyond this many load steps
 
 # 3-point Gauss rule on [0, 1]
 _G = np.sqrt(3.0 / 5.0) / 2.0
@@ -101,7 +103,7 @@ class BeamMesh:
         return _GAUSS_W * self.element_length
 
 
-def build_mesh(spec: Specimen, n_elements: int = 40) -> BeamMesh:
+def build_mesh(spec: Specimen, n_elements: int) -> BeamMesh:
     """Uniform mesh with bending rigidity E w t^3 / 12 (in-plane bending)."""
     if n_elements < MIN_ELEMENTS:
         raise ValueError(f"n_elements must be at least {MIN_ELEMENTS} (got {n_elements})")
@@ -154,7 +156,7 @@ class DeflectionField:
         """Transverse displacement v(x) by elementwise cubic interpolation."""
         x_arr = np.atleast_1d(np.asarray(x, dtype=float))
         length = self.mesh.element_length
-        idx = np.clip((x_arr / length).astype(int), 0, self.mesh.n_elements - 1)
+        idx = np.minimum(np.maximum((x_arr / length).astype(int), 0), self.mesh.n_elements - 1)
         xi = (x_arr - self.mesh.node_positions[idx]) / length
         n1, n2, n3, n4 = _hermite_basis(xi, length)
         v, theta = self.deflection, self.rotation
@@ -183,6 +185,15 @@ def _hermite_basis(xi: np.ndarray, length: float):
     return n1, n2, n3, n4
 
 
+@lru_cache(maxsize=16)
+def _gauss_shape(length: float):
+    """``_hermite_basis`` at the 3 Gauss points of an element of ``length``."""
+    basis = _hermite_basis(_GAUSS_XI, length)
+    for n in basis:
+        n.setflags(write=False)
+    return basis
+
+
 def _evaluate_load(load: DistributedLoad, x: np.ndarray) -> np.ndarray:
     q = np.asarray(load(x), dtype=float)
     if q.shape != x.shape:
@@ -205,7 +216,7 @@ def transverse_load_operators(mesh: BeamMesh):
     their quadrature weights, so the load vector is G^T (w q); the function
     K(c) = G^T diag(c) G, summed from 4 x 4 element blocks in band storage,
     gives the load stiffness K(w q')."""
-    shape = np.stack(_hermite_basis(_GAUSS_XI, mesh.element_length), axis=1)  # (point, DOF)
+    shape = np.stack(_gauss_shape(mesh.element_length), axis=1)  # (point, DOF)
     dofs = 3 * np.arange(mesh.n_elements)[:, None] + np.array([1, 2, 4, 5])
     n = 3 * mesh.n_nodes
     g = np.zeros((3 * mesh.n_elements, n))
@@ -230,7 +241,7 @@ def consistent_load_vector(
     if load is not None:
         qg = gauss_load_values(mesh, load)  # (n_el, 3)
         wq = qg * mesh.gauss_weights()[None, :]
-        n1, n2, n3, n4 = _hermite_basis(_GAUSS_XI, mesh.element_length)
+        n1, n2, n3, n4 = _gauss_shape(mesh.element_length)
         fe = np.stack(
             [wq @ n1, wq @ n2, wq @ n3, wq @ n4], axis=1
         )  # (n_el, 4): (va, tha, vb, thb)
@@ -419,7 +430,6 @@ def newton_solve(
     mesh: BeamMesh,
     f_ext: np.ndarray | Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     start: np.ndarray | None = None,
-    max_iterations: int = 30,
     tip: float | None = None,
     linear: LinearBeamOperator | None = None,
 ):
@@ -434,7 +444,7 @@ def newton_solve(
     is prescribed and each step bordered (Keller): one banded solve of K [a b] =
     [res f_ext], dlam = (tip gap - a_tip) / b_tip.  Steps are capped at 0.2 gap
     transverse under a state-dependent load, else at 0.5 rad and 0.3 L.
-    The solve fails after ``max_iterations`` steps, on a non-finite residual
+    The solve fails after NEWTON_ITERATIONS steps, on a non-finite residual
     or step, a singular tangent or a local rotation beyond the corotational
     frame's range, but not on a growing residual: the corotational one can
     alternate by orders of magnitude while it converges.
@@ -449,7 +459,7 @@ def newton_solve(
         caps = ((np.s_[1:2], 0.2 * mesh.specimen.gap_g),)
     history: list[float] = []
 
-    for it in range(max_iterations + 1):
+    for it in range(NEWTON_ITERATIONS + 1):
         if load_at is not None:
             f_ext, k_load = load_at(d)
         if linear is None:
@@ -473,7 +483,7 @@ def newton_solve(
         floor = 1e-10 * max(float(np.linalg.norm(f_lam[3:])), 1e-30) + noise
         if rn <= floor and (tip_gap is None or abs(tip_gap) <= 1e-12 * abs(tip)):
             return d, history, True, lam
-        if it == max_iterations or not np.isfinite(rn) or max_local > _MAX_LOCAL_ROTATION:
+        if it == NEWTON_ITERATIONS or not np.isfinite(rn) or max_local > _MAX_LOCAL_ROTATION:
             return d, history, False, lam
         jac = k_t if load_at is None else k_t - lam * k_load
         try:
@@ -501,14 +511,12 @@ def solve_nonlinear(
     load: DistributedLoad | None = None,
     tip_force: float = 0.0,
     tip_moment: float = 0.0,
-    max_iterations: int = 30,
-    max_increments: int = 256,
 ) -> DeflectionField:
     """Large-rotation equilibrium under a fixed transverse load.
 
     The full load is attempted in one Newton solve first; on divergence the
     load is applied in 2, 4, ... increments (warm-started) up to
-    ``max_increments``.  Raises ConvergenceError when even the finest
+    LOAD_INCREMENTS.  Raises ConvergenceError when even the finest
     incrementation fails.
     """
     f_ext = consistent_load_vector(mesh, load, tip_force, tip_moment)
@@ -516,14 +524,10 @@ def solve_nonlinear(
         return zero_field(mesh)
 
     n_inc = 1
-    while n_inc <= max_increments:
+    while n_inc <= LOAD_INCREMENTS:
         d = np.zeros(3 * mesh.n_nodes)
-        history: list[float] = []
-        ok = True
         for i in range(1, n_inc + 1):
-            d, history, ok, _ = newton_solve(
-                mesh, f_ext * (i / n_inc), start=d, max_iterations=max_iterations
-            )
+            d, _, ok, _ = newton_solve(mesh, f_ext * (i / n_inc), start=d)
             if not ok:
                 break
         if ok:
@@ -532,9 +536,7 @@ def solve_nonlinear(
             return DeflectionField(mesh, d)
         n_inc *= 2
     raise ConvergenceError(
-        f"corotational solve did not converge with up to {max_increments} load increments",
-        iterations=max_iterations,
-        residual=history[-1] if history else float("nan"),
+        f"corotational solve did not converge with up to {LOAD_INCREMENTS} load increments"
     )
 
 

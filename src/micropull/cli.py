@@ -56,14 +56,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_selector(p: argparse.ArgumentParser, with_dims: bool = True) -> None:
+    def add_selector(p: argparse.ArgumentParser) -> None:
         p.add_argument("--id", help="specimen id, e.g. ST1-1")
         p.add_argument("--file", help="specimen file (JSON, micrometre units)")
-        if with_dims:
-            p.add_argument(
-                "--dims", choices=(catalog.NOMINAL, catalog.MEASURED),
-                default=catalog.NOMINAL, help="dimension set (default: nominal)",
-            )
+        p.add_argument(
+            "--dims", choices=(catalog.NOMINAL, catalog.MEASURED),
+            default=catalog.NOMINAL, help="dimension set (default: nominal)",
+        )
 
     def add_output(p: argparse.ArgumentParser) -> None:
         p.add_argument("--out", help="output path (default: stdout)")
@@ -75,7 +74,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--coupling", choices=("staggered", "monolithic"), default="staggered"
         )
-        p.add_argument("--fringing", type=float, default=0.65, metavar="F")
+        p.add_argument("--fringing", type=float, metavar="F",
+                       default=electro.LoadModelConfig.fringing_coefficient)
         p.add_argument("--E", dest="modulus", metavar="GPA[,GPA]",
                        help="override Young's modulus; a pair selects a band")
         p.add_argument("--dump-field", dest="dump_field", metavar="PATH",
@@ -129,9 +129,8 @@ def _select(args) -> catalog.Specimen:
         if len(specimens) == 1:
             return specimens[0]
         raise _UsageError("--id is required (the specimen set has several entries)")
-    dims = getattr(args, "dims", catalog.NOMINAL)
     try:
-        return catalog.select_specimen(specimens, args.id, dims)
+        return catalog.select_specimen(specimens, args.id, args.dims)
     except KeyError as exc:
         raise _UsageError(str(exc.args[0])) from exc
 

@@ -35,7 +35,6 @@ from functools import cached_property
 import numpy as np
 
 from . import beam, electro
-from .analytic import FEM
 from .catalog import Specimen
 from .errors import ConvergenceError, GapClosureError, PullInNotFoundError
 
@@ -50,19 +49,19 @@ MONOLITHIC = "monolithic"
 _COUPLING_MODES = (STAGGERED, MONOLITHIC)
 
 COUPLING_TOLERANCE = 1e-6  # a coupling loop stops at this relative tip (or V^2) change
+MAX_COUPLING_ITERATIONS = 100  # a staggered loop that has not settled by then fails
 VOLTAGE_CAP = 10_000.0  # the pull-in search gives up above this voltage
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Iteration controls for the coupled solves."""
+    """Models, coupling, pull-in bracket width and beam mesh of the coupled solves."""
 
     structural_mode: str = NONLINEAR
     load_model: electro.LoadModelConfig = dataclass_field(
         default_factory=electro.LoadModelConfig
     )
     coupling_mode: str = STAGGERED
-    max_coupling_iterations: int = 100
     pull_in_bracket_tolerance: float = 0.1  # volts
     n_elements: int = 40
 
@@ -75,8 +74,6 @@ class SolverConfig:
             raise ValueError("monolithic coupling supports the parallel_plate load model only")
         if not 0.0 < self.pull_in_bracket_tolerance < math.inf:
             raise ValueError("pull_in_bracket_tolerance must be positive and finite")
-        if self.max_coupling_iterations < 1:
-            raise ValueError("max_coupling_iterations must be at least 1")
         if self.n_elements < beam.MIN_ELEMENTS:
             raise ValueError(f"n_elements must be at least {beam.MIN_ELEMENTS}")
 
@@ -100,7 +97,6 @@ class PullInResult:
     bracket_high: float  # bound above which no equilibrium exists
     pull_in_voltage: float  # largest computed equilibrium voltage
     tip_displacement: float  # tip deflection at bracket_low (m)
-    method: str = FEM
     deflection: beam.DeflectionField | None = dataclass_field(
         default=None, compare=False, repr=False
     )
@@ -205,14 +201,13 @@ class _Runner:
     ) -> EquilibriumResult:
         """Load and structural solves until the tip settles, or with ``tip``
         pinned under lam times the load of ``voltage`` until lam settles."""
-        cfg = self.cfg
         fld = prev = start  # prev: the iterate before fld, short of the electrode
         omega = 1.0
         floor = 1e-12 * self.spec.gap_g
         settled = fld.tip if tip is None else math.inf
         r_prev: np.ndarray | None = None
 
-        for it in range(1, cfg.max_coupling_iterations + 1):
+        for it in range(1, MAX_COUPLING_ITERATIONS + 1):
             try:
                 load = self._load_for(fld, voltage)
                 solved, lam = self._structural_solve(load, fld, tip)
@@ -242,7 +237,7 @@ class _Runner:
             prev, fld = fld, relaxed
             settled = now
         return EquilibriumResult(
-            fld, False, cfg.max_coupling_iterations, voltage, "max coupling iterations"
+            fld, False, MAX_COUPLING_ITERATIONS, voltage, "max coupling iterations"
         )
 
     def _monolithic(

@@ -49,6 +49,10 @@ _LOAD_KINDS = (PARALLEL_PLATE, FIELD_2D)
 # unsmoothed trace has no finite pointwise limit.
 FACE_PROBE_FRACTION = 1.0 / 8.0
 
+# The field domain runs this many gaps past the tip, so the fringing field
+# around the free end is resolved; its bottom edge there is a Neumann boundary.
+TIP_EXTENSION_GAPS = 2.0
+
 # Transverse deflection as a function of axial position: either a solved
 # field or any vectorized callable (None means the undeformed beam).
 DeflectionLike = DeflectionField | Callable[[np.ndarray], np.ndarray] | None
@@ -62,7 +66,6 @@ class LoadModelConfig:
     fringing_coefficient: float = 0.65
     cells_across_gap: int = 24
     cells_along_beam: int = 160
-    tip_extension_gaps: float = 2.0
 
     def __post_init__(self) -> None:
         if self.kind not in _LOAD_KINDS:
@@ -73,8 +76,6 @@ class LoadModelConfig:
             raise ValueError("cells_across_gap must be at least 8")
         if self.cells_along_beam < 40:
             raise ValueError("cells_along_beam must be at least 40")
-        if not 0.0 <= self.tip_extension_gaps < np.inf:
-            raise ValueError("tip_extension_gaps must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -122,7 +123,7 @@ def plate_load(
     spec: Specimen,
     deflection: DeflectionLike,
     voltage: float,
-    fringing_coefficient: float = 0.65,
+    fringing_coefficient: float,
 ) -> DistributedLoad:
     """Parallel-plate line load on the deformed gap.
 
@@ -253,31 +254,32 @@ def solve_field2d(
     length), homogeneous Neumann on the lateral boundaries and on the
     bottom continuation beyond the tip.  The normal-field trace and the
     electrode charges are extracted from consistent nodal fluxes, which
-    balance exactly between the electrodes in the discrete system.
+    balance exactly between the electrodes in the discrete system.  Raises
+    GapClosureError when the deflection at a field-mesh column (the tip is
+    one) reaches the gap or is not finite.
     """
     cfg = config or LoadModelConfig()
     started = time.perf_counter()
     v_of_x = _deflection_callable(deflection)
-    _check_gap_open(spec, v_of_x)
 
     l = spec.length_l
     g = spec.gap_g
     n_beam = cfg.cells_along_beam
     dx = l / n_beam
-    n_ext = int(np.ceil(cfg.tip_extension_gaps * g / dx)) if cfg.tip_extension_gaps > 0 else 0
+    n_ext = int(np.ceil(TIP_EXTENSION_GAPS * g / dx))
     nx = n_beam + n_ext
     ny = cfg.cells_across_gap
 
     x = np.empty(nx + 1)
     x[: n_beam + 1] = np.linspace(0.0, l, n_beam + 1)
-    if n_ext:
-        x[n_beam + 1 :] = l + dx * np.arange(1, n_ext + 1)
+    x[n_beam + 1 :] = l + dx * np.arange(1, n_ext + 1)
 
     y_low = np.empty(nx + 1)
     y_low[: n_beam + 1] = np.asarray(v_of_x(x[: n_beam + 1]), dtype=float)
     y_low[n_beam + 1 :] = y_low[n_beam]  # straight continuation past the tip
-    if np.any(y_low >= g):
-        raise GapClosureError("gap closed at a field-mesh column")
+    if not (np.isfinite(y_low).all() and (y_low < g).all()):
+        raise GapClosureError("beam face reaches the counter-electrode (or is not finite) "
+                              "at a field-mesh column")
 
     # transfinite grid between the two faces
     frac = np.linspace(0.0, 1.0, ny + 1)

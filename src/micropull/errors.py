@@ -15,11 +15,8 @@ class GapClosureError(RuntimeError):
 class ConvergenceError(RuntimeError):
     """An iterative structural solve failed to reach its residual tolerance."""
 
-    def __init__(self, message: str, iterations: int = 0, residual: float = float("nan")):
-        super().__init__(message)
-        self.iterations = iterations
-        self.residual = residual
-
 
 class PullInNotFoundError(RuntimeError):
-    """No non-convergent voltage was found below the search cap."""
+    """The pull-in search found no maximum of the equilibrium voltage over the
+    tip deflection: a solve at a prescribed tip failed or passed the search
+    cap, or the search did not settle."""

@@ -21,8 +21,8 @@ from micropull import (
     solve_nonlinear,
     voltage_sweep,
 )
-from micropull import beam, electro
-from micropull.coupled import COUPLING_TOLERANCE, _Runner
+from micropull import beam, coupled, electro
+from micropull.coupled import COUPLING_TOLERANCE, MAX_COUPLING_ITERATIONS, _Runner
 
 PLATE = SolverConfig(load_model=LoadModelConfig(kind="parallel_plate"))
 PLATE_MONO = SolverConfig(
@@ -39,6 +39,14 @@ STIFF = Specimen(
 )
 
 
+def _plate_config(mode, coupling):
+    return SolverConfig(
+        structural_mode=mode,
+        load_model=LoadModelConfig(kind="parallel_plate"),
+        coupling_mode=coupling,
+    )
+
+
 class TestConfig:
     def test_monolithic_requires_parallel_plate(self):
         with pytest.raises(ValueError, match="monolithic"):
@@ -49,7 +57,6 @@ class TestConfig:
         {"coupling_mode": "simultaneous"},
         {"pull_in_bracket_tolerance": -1.0},
         {"n_elements": 2},
-        {"max_coupling_iterations": 0},
         {"pull_in_bracket_tolerance": float("inf")},
     ])
     def test_rejects_bad_values(self, kwargs):
@@ -221,7 +228,6 @@ class TestPullIn:
         r = plate_pull_in
         assert r.bracket_high - r.bracket_low <= PLATE.pull_in_bracket_tolerance * 1.0001
         assert r.bracket_low < r.pull_in_voltage < r.bracket_high
-        assert r.method == "fem"
 
     def test_bracket_replays_deterministically(
         self, st1_1_measured, plate_pull_in, field2d_pull_ins
@@ -287,18 +293,16 @@ class TestModulusBand:
 
 @pytest.fixture(scope="module")
 def plate_brackets(st1_1_measured):
-    """Plate-load pull-ins of measured ST1-1 by (structural mode, coupling, budget)."""
+    """Plate-load pull-ins of measured ST1-1 by (structural mode, coupling,
+    coupling-iteration budget)."""
     out = {}
     for mode in ("linear", "nonlinear"):
         for coupling in ("staggered", "monolithic"):
-            for budget in (100, 1000):
-                cfg = SolverConfig(
-                    structural_mode=mode,
-                    load_model=LoadModelConfig(kind="parallel_plate"),
-                    coupling_mode=coupling,
-                    max_coupling_iterations=budget,
-                )
-                out[mode, coupling, budget] = find_pull_in(st1_1_measured, cfg)
+            cfg = _plate_config(mode, coupling)
+            for budget in (MAX_COUPLING_ITERATIONS, 1000):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(coupled, "MAX_COUPLING_ITERATIONS", budget)
+                    out[mode, coupling, budget] = find_pull_in(st1_1_measured, cfg)
     return out
 
 
@@ -307,7 +311,7 @@ class TestAitkenRelaxation:
 
     @pytest.mark.parametrize("mode", ["linear", "nonlinear"])
     def test_plate_bracket_independent_of_budget(self, plate_brackets, mode):
-        default = plate_brackets[mode, "staggered", 100]
+        default = plate_brackets[mode, "staggered", MAX_COUPLING_ITERATIONS]
         generous = plate_brackets[mode, "staggered", 1000]
         assert (default.bracket_low, default.bracket_high) == (
             generous.bracket_low, generous.bracket_high,
@@ -315,15 +319,15 @@ class TestAitkenRelaxation:
 
     @pytest.mark.parametrize("mode", ["linear", "nonlinear"])
     def test_staggered_agrees_with_monolithic(self, plate_brackets, mode):
-        stag = plate_brackets[mode, "staggered", 100]
-        mono = plate_brackets[mode, "monolithic", 100]
+        stag = plate_brackets[mode, "staggered", MAX_COUPLING_ITERATIONS]
+        mono = plate_brackets[mode, "monolithic", MAX_COUPLING_ITERATIONS]
         tol = SolverConfig().pull_in_bracket_tolerance
         assert abs(stag.bracket_low - mono.bracket_low) <= tol
         assert abs(stag.bracket_high - mono.bracket_high) <= tol
 
     @pytest.mark.parametrize("mode", ["linear", "nonlinear"])
     def test_monolithic_bracket_independent_of_budget(self, plate_brackets, mode):
-        default = plate_brackets[mode, "monolithic", 100]
+        default = plate_brackets[mode, "monolithic", MAX_COUPLING_ITERATIONS]
         generous = plate_brackets[mode, "monolithic", 1000]
         assert (default.bracket_low, default.bracket_high) == (
             generous.bracket_low, generous.bracket_high,
@@ -331,7 +335,9 @@ class TestAitkenRelaxation:
 
     def test_field2d_bracket_independent_of_budget(self, st1_1_measured):
         default = find_pull_in(st1_1_measured, SolverConfig())
-        generous = find_pull_in(st1_1_measured, SolverConfig(max_coupling_iterations=1000))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(coupled, "MAX_COUPLING_ITERATIONS", 1000)
+            generous = find_pull_in(st1_1_measured, SolverConfig())
         assert (default.bracket_low, default.bracket_high) == (
             generous.bracket_low, generous.bracket_high,
         )
@@ -416,12 +422,8 @@ class TestContinuation:
     def test_plate_bracket_equals_cold_search(
         self, st1_1_measured, plate_brackets, mode, coupling
     ):
-        cfg = SolverConfig(
-            structural_mode=mode,
-            load_model=LoadModelConfig(kind="parallel_plate"),
-            coupling_mode=coupling,
-        )
-        r = plate_brackets[mode, coupling, cfg.max_coupling_iterations]
+        cfg = _plate_config(mode, coupling)
+        r = plate_brackets[mode, coupling, MAX_COUPLING_ITERATIONS]
         lo, hi = cold_pull_in(st1_1_measured, cfg)
         tol = cfg.pull_in_bracket_tolerance
         assert lo - tol <= r.pull_in_voltage <= hi + tol
@@ -438,14 +440,6 @@ def _counting(monkeypatch, owner, name):
 
     monkeypatch.setattr(owner, name, wrapper)
     return calls
-
-
-def _plate_config(mode, coupling):
-    return SolverConfig(
-        structural_mode=mode,
-        load_model=LoadModelConfig(kind="parallel_plate"),
-        coupling_mode=coupling,
-    )
 
 
 @pytest.fixture(scope="module")

@@ -13,10 +13,13 @@ from micropull import (
     VACUUM_PERMITTIVITY,
     maxwell_load,
     plate_load,
+    select_specimen,
     solve_field2d,
 )
+from micropull import electro
 from micropull.electro import (
     FACE_PROBE_FRACTION,
+    TIP_EXTENSION_GAPS,
     _field_pattern,
     dump_field_csv,
     integrated_face_force,
@@ -38,9 +41,6 @@ class TestLoadModelConfig:
         {"fringing_coefficient": float("inf")},
         {"cells_across_gap": 7},
         {"cells_along_beam": 39},
-        {"tip_extension_gaps": -1.0},
-        {"tip_extension_gaps": float("nan")},
-        {"tip_extension_gaps": float("inf")},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
@@ -168,6 +168,13 @@ class TestField2D:
         with pytest.raises(GapClosureError):
             solve_field2d(s, spike, self.V, LoadModelConfig())
 
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_non_finite_deflection_raises(self, st1_1_measured, bad):
+        s = st1_1_measured
+        bad_at_tip = lambda x: np.where(x < s.length_l, 0.0, bad)
+        with pytest.raises(GapClosureError):
+            solve_field2d(s, bad_at_tip, self.V, LoadModelConfig())
+
 
 def reference_field(fs, n_beam: int):
     """Reference solve on the grid of ``fs``: global COO assembly, submatrix
@@ -237,41 +244,40 @@ class TestField2DAgainstReference:
     """The cached scatter assembly against the global-matrix reference solve."""
 
     @pytest.mark.parametrize(
-        "cfg",
+        "cfg, extension",
         [
-            LoadModelConfig(),
-            LoadModelConfig(cells_across_gap=13, cells_along_beam=57),
-            LoadModelConfig(tip_extension_gaps=0.0),
+            (LoadModelConfig(), TIP_EXTENSION_GAPS),
+            (LoadModelConfig(cells_across_gap=13, cells_along_beam=57), TIP_EXTENSION_GAPS),
+            (LoadModelConfig(), 0.0),  # the beam face is the whole bottom edge
         ],
         ids=["default", "non-default-mesh", "no-extension"],
     )
     @pytest.mark.parametrize("bend", [0.0, 0.3, 0.9], ids=["flat", "bent", "near-gap"])
-    def test_matches_reference(self, st1_1_measured, cfg, bend):
+    def test_matches_reference(self, st1_1_measured, cfg, extension, bend, monkeypatch):
+        monkeypatch.setattr(electro, "TIP_EXTENSION_GAPS", extension)
         s = st1_1_measured
         shape = lambda x: bend * s.gap_g * (x / s.length_l) ** 2
         fs = solve_field2d(s, shape, 83.0, cfg)
-        if cfg.tip_extension_gaps == 0.0:
+        if extension == 0.0:
             assert fs.grid_x.size == cfg.cells_along_beam + 1
         assert_matches_reference(fs, cfg)
 
-    def test_same_columns_different_beam_face(self, st1_1_measured):
-        s = st1_1_measured
-        first = LoadModelConfig()
-        fs_first = solve_field2d(s, None, 50.0, first)
-        nx = fs_first.grid_x.size - 1
-        # fewer beam columns, more extension columns, the same nx
-        n_beam = first.cells_along_beam - 10
-        gaps = (nx - n_beam - 0.5) * (s.length_l / n_beam) / s.gap_g
-        second = LoadModelConfig(cells_along_beam=n_beam, tip_extension_gaps=gaps)
-        fs_second = solve_field2d(s, None, 50.0, second)
-        assert fs_second.grid_x.size - 1 == nx
-        assert_matches_reference(fs_second, second)
-        assert_matches_reference(fs_first, first)
-        ny = first.cells_across_gap
-        a = _field_pattern(nx, ny, first.cells_along_beam)
-        b = _field_pattern(nx, ny, n_beam)
+    def test_same_columns_different_beam_face(self, catalog):
+        # measured ST1-1 on 43 beam cells and nominal ST1-2 (twice the gap)
+        # on 40 both extend to nx = 48 columns: one nx, two beam faces
+        cases = [
+            (select_specimen(catalog, "ST1-1", "measured"), LoadModelConfig(cells_along_beam=43)),
+            (select_specimen(catalog, "ST1-2", "nominal"), LoadModelConfig(cells_along_beam=40)),
+        ]
+        solutions = [solve_field2d(s, None, 50.0, cfg) for s, cfg in cases]
+        for fs, (_, cfg) in zip(solutions, cases):
+            assert fs.grid_x.size - 1 == 48
+            assert_matches_reference(fs, cfg)
+        ny = LoadModelConfig().cells_across_gap
+        a = _field_pattern(48, ny, 43)
+        b = _field_pattern(48, ny, 40)
         assert a is not b
-        assert b.free.size == a.free.size + 10
+        assert b.free.size == a.free.size + 3
 
 
 class TestMaxwellLoad:

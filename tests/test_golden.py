@@ -31,6 +31,10 @@ CASES = {
         for model in ("linear", "nonlinear")
         for coupling in ("staggered", "monolithic")
     },
+    # the defaults: field2d load, nonlinear beam, staggered coupling
+    "pullin-ST1-1-measured-field2d-nonlinear-staggered": [
+        "pullin", "--id", "ST1-1", "--dims", "measured",
+    ],
     "sweep-ST1-1-measured-plate-linear-monolithic": [
         "sweep", "--id", "ST1-1", "--dims", "measured", "--load", "plate",
         "--model", "linear", "--coupling", "monolithic", "--vmax", "200", "--steps", "8",
