@@ -107,16 +107,10 @@ def _deflection_callable(deflection: DeflectionLike):
     return deflection
 
 
-def _check_gap_open(spec: Specimen, v_of_x) -> None:
-    x = np.linspace(0.0, spec.length_l, 512)
-    v = np.asarray(v_of_x(x), dtype=float)
-    if not np.all(np.isfinite(v)):
-        raise GapClosureError("deflection is not finite over the beam span")
-    if np.any(v >= spec.gap_g):
-        worst = float(x[int(np.argmax(v))])
-        raise GapClosureError(
-            f"beam face reaches the counter-electrode near x = {worst:.3e} m"
-        )
+def _check_open(gap) -> None:
+    """The one gap-closure rule: every local gap must be finite and positive."""
+    if not np.all(np.isfinite(gap) & (gap > 0.0)):
+        raise GapClosureError("beam face reaches the counter-electrode (or is not finite)")
 
 
 def plate_load(
@@ -129,10 +123,11 @@ def plate_load(
 
     q(x) = eps0 w V^2 / (2 (g - v(x))^2) * (1 + f (g - v(x)) / w),
     attracting the beam toward the counter-electrode.  Raises
-    GapClosureError when the deflection reaches the gap anywhere.
+    GapClosureError when the gap at the tip, or at a point where the load
+    is evaluated, is closed or not finite.
     """
     v_of_x = _deflection_callable(deflection)
-    _check_gap_open(spec, v_of_x)
+    _check_open(spec.gap_g - np.asarray(v_of_x(np.array([spec.length_l])), dtype=float))
 
     def q(x: np.ndarray) -> np.ndarray:
         gap = spec.gap_g - np.asarray(v_of_x(x), dtype=float)
@@ -143,9 +138,8 @@ def plate_load(
 
 def plate_load_on_gap(spec: Specimen, gap, voltage: float, fringing_coefficient: float):
     """The ``plate_load`` line load on an array of local gaps; raises
-    GapClosureError where a gap is closed."""
-    if np.any(gap <= 0.0):
-        raise GapClosureError("gap closed during load evaluation")
+    GapClosureError where a gap is closed or not finite."""
+    _check_open(gap)
     w = spec.width_w
     return 0.5 * VACUUM_PERMITTIVITY * w * voltage**2 / gap**2 * (
         1.0 + fringing_coefficient * gap / w
@@ -255,8 +249,9 @@ def solve_field2d(
     bottom continuation beyond the tip.  The normal-field trace and the
     electrode charges are extracted from consistent nodal fluxes, which
     balance exactly between the electrodes in the discrete system.  Raises
-    GapClosureError when the deflection at a field-mesh column (the tip is
-    one) reaches the gap or is not finite.
+    GapClosureError when the gap at a field-mesh column (the tip is one)
+    is closed or not finite, and ValueError when the deflection is so far
+    from the gap that the mesh has triangles of no area.
     """
     cfg = config or LoadModelConfig()
     started = time.perf_counter()
@@ -277,9 +272,7 @@ def solve_field2d(
     y_low = np.empty(nx + 1)
     y_low[: n_beam + 1] = np.asarray(v_of_x(x[: n_beam + 1]), dtype=float)
     y_low[n_beam + 1 :] = y_low[n_beam]  # straight continuation past the tip
-    if not (np.isfinite(y_low).all() and (y_low < g).all()):
-        raise GapClosureError("beam face reaches the counter-electrode (or is not finite) "
-                              "at a field-mesh column")
+    _check_open(g - y_low)
 
     # transfinite grid between the two faces
     frac = np.linspace(0.0, 1.0, ny + 1)
@@ -294,6 +287,9 @@ def solve_field2d(
     b = py[:, [1, 2, 0]] - py[:, [2, 0, 1]]
     c = px[:, [2, 0, 1]] - px[:, [1, 2, 0]]
     area2 = px[:, 0] * b[:, 0] + px[:, 1] * b[:, 1] + px[:, 2] * b[:, 2]
+    if not np.all(area2 > 0.0):
+        # an open gap of ~1e8 m or more rounds the grid's triangles to no area
+        raise ValueError("field mesh has degenerate triangles: deflection out of range")
     k_el = (
         np.einsum("ti,tj->tij", b, b) + np.einsum("ti,tj->tij", c, c)
     ) / (2.0 * area2)[:, None, None]
@@ -372,9 +368,7 @@ def maxwell_load(field: FieldSolution, spec: Specimen) -> DistributedLoad:
     face_q = 0.5 * VACUUM_PERMITTIVITY * spec.width_w * field.face_field**2
 
     def q(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        out = np.interp(x, face_x, face_q, left=face_q[0], right=0.0)
-        return np.where(x > face_x[-1], 0.0, out)
+        return np.interp(x, face_x, face_q, right=0.0)
 
     return q
 

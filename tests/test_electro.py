@@ -17,12 +17,14 @@ from micropull import (
     solve_field2d,
 )
 from micropull import electro
+from micropull.beam import build_mesh, consistent_load_vector
 from micropull.electro import (
     FACE_PROBE_FRACTION,
     TIP_EXTENSION_GAPS,
     _field_pattern,
     dump_field_csv,
     integrated_face_force,
+    plate_load_on_gap,
     plate_load_slope_on_gap,
 )
 
@@ -70,6 +72,33 @@ class TestPlateLoad:
         g = st1_1_measured.gap_g
         with pytest.raises(GapClosureError):
             plate_load(st1_1_measured, lambda x: np.full_like(x, g), 10.0, 0.0)
+
+    def test_gap_closure_only_near_tip_raises(self, st1_1_measured):
+        s = st1_1_measured
+        spike = lambda x: 1.2 * s.gap_g * (x / s.length_l) ** 8
+        with pytest.raises(GapClosureError):
+            plate_load(s, spike, 10.0, 0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_non_finite_tip_raises(self, st1_1_measured, bad):
+        s = st1_1_measured
+        bad_at_tip = lambda x: np.where(x < s.length_l, 0.0, bad)
+        with pytest.raises(GapClosureError):
+            plate_load(s, bad_at_tip, 10.0, 0.0)
+
+    def test_non_finite_at_load_points_raises_on_evaluation(self, st1_1_measured):
+        # the tip is open, so the load is built; evaluating it at the
+        # quadrature points meets the NaN before the beam's finiteness check
+        s = st1_1_measured
+        nan_inside = lambda x: np.where(x < s.length_l, np.nan, 0.0)
+        q = plate_load(s, nan_inside, 10.0, 0.0)
+        with pytest.raises(GapClosureError):
+            consistent_load_vector(build_mesh(s, 40), q)
+
+    def test_on_gap_raises_on_nan(self, st1_1_measured):
+        gap = np.array([st1_1_measured.gap_g, np.nan])
+        with pytest.raises(GapClosureError):
+            plate_load_on_gap(st1_1_measured, gap, 10.0, 0.0)
 
     def test_deformed_gap_amplification(self, st1_1_measured):
         s = st1_1_measured
@@ -174,6 +203,21 @@ class TestField2D:
         bad_at_tip = lambda x: np.where(x < s.length_l, 0.0, bad)
         with pytest.raises(GapClosureError):
             solve_field2d(s, bad_at_tip, self.V, LoadModelConfig())
+
+    @pytest.mark.parametrize("depth", [1e8, 1e300])
+    def test_degenerate_mesh_raises(self, st1_1_measured, depth):
+        # the gap stays open, but g is lost beside the depth: the grid's
+        # triangles have no area, and a solve would return NaN
+        s = st1_1_measured
+        far_at_tip = lambda x: np.where(x < s.length_l, 0.0, -depth)
+        with pytest.raises(ValueError, match="degenerate"):
+            solve_field2d(s, far_at_tip, self.V, LoadModelConfig())
+
+    def test_large_open_deflection_stays_finite(self, st1_1_measured):
+        s = st1_1_measured
+        far_at_tip = lambda x: np.where(x < s.length_l, 0.0, -1e7)
+        fs = solve_field2d(s, far_at_tip, self.V, LoadModelConfig())
+        assert np.isfinite(fs.potential).all() and np.isfinite(fs.face_field).all()
 
 
 def reference_field(fs, n_beam: int):

@@ -39,6 +39,11 @@ CASES = {
         "sweep", "--id", "ST1-1", "--dims", "measured", "--load", "plate",
         "--model", "linear", "--coupling", "monolithic", "--vmax", "200", "--steps", "8",
     ],
+    # the staggered plate sweep ends in a point that fails on gap closure
+    "sweep-ST1-1-measured-plate-nonlinear-staggered": [
+        "sweep", "--id", "ST1-1", "--dims", "measured", "--load", "plate",
+        "--model", "nonlinear", "--coupling", "staggered", "--vmax", "200", "--steps", "8",
+    ],
     "band-ST1-6-measured-plate-linear": [
         "band", "--id", "ST1-6", "--dims", "measured", "--load", "plate",
         "--model", "linear", "--vmax", "100", "--steps", "6",
