@@ -20,8 +20,9 @@ of a structural solve with the tip pinned, bordered as in Keller (1977).
 A prescribed tip has an equilibrium on both sides of the fold, so no solve
 runs where none exists, and the result does not depend on an iteration
 budget.  Voltage sweeps stay voltage-controlled, each point starting from
-the previous one.  Nothing is retried: every equilibrium is one coupling
-loop or one Newton solve from its start.
+the previous one scaled by the ratio of the squared voltages.  Nothing is
+retried: every equilibrium is one coupling loop or one Newton solve from its
+start.
 """
 
 from __future__ import annotations
@@ -48,7 +49,9 @@ STAGGERED = "staggered"
 MONOLITHIC = "monolithic"
 _COUPLING_MODES = (STAGGERED, MONOLITHIC)
 
-COUPLING_TOLERANCE = 1e-6  # a coupling loop stops at this relative tip (or V^2) change
+# a coupling loop stops at this relative tip change, or at a prescribed tip
+# at this relative estimated error of V^2
+COUPLING_TOLERANCE = 1e-6
 MAX_COUPLING_ITERATIONS = 100  # a staggered loop that has not settled by then fails
 VOLTAGE_CAP = 10_000.0  # the pull-in search gives up above this voltage
 
@@ -205,6 +208,7 @@ class _Runner:
         omega = 1.0
         floor = 1e-12 * self.spec.gap_g
         settled = fld.tip if tip is None else math.inf
+        step_prev = math.inf
         r_prev: np.ndarray | None = None
 
         for it in range(1, MAX_COUPLING_ITERATIONS + 1):
@@ -231,11 +235,17 @@ class _Runner:
                 self.mesh, fld.dofs + omega * (solved.dofs - fld.dofs)
             )
             now = relaxed.tip if tip is None else lam
-            if abs(now - settled) <= COUPLING_TOLERANCE * max(abs(now), floor):
+            step = est = abs(now - settled)
+            # at a prescribed tip, a contracting lam bounds its own error by
+            # rho / (1 - rho) times the step (Kelley 1995)
+            if tip is not None and math.isfinite(step_prev) and step < step_prev:
+                rho = step / step_prev
+                est = step * min(1.0, rho / (1.0 - rho))
+            if est <= COUPLING_TOLERANCE * max(abs(now), floor):
                 found = voltage if tip is None else voltage * math.sqrt(lam)
                 return EquilibriumResult(relaxed, True, it, found)
             prev, fld = fld, relaxed
-            settled = now
+            settled, step_prev = now, step
         return EquilibriumResult(
             fld, False, MAX_COUPLING_ITERATIONS, voltage, "max coupling iterations"
         )
@@ -290,9 +300,10 @@ def _pull_in_search(runner: _Runner, cap: float) -> PullInResult:
 
     Successive parabolic interpolation through the three highest solved
     points, from x = 0.35, 0.45 and 0.55; each solve starts from the nearest
-    solved state.  It stops once the parabola predicts a gain under a
-    quarter of the tolerance: that bounds bracket_high.  bracket_low is a
-    solved point left of the highest, so on the stable branch.
+    solved state, the first from the linear shape under a uniform load.  It
+    stops once the parabola predicts a gain under a quarter of the tolerance:
+    that bounds bracket_high.  bracket_low is a solved point left of the
+    highest, so on the stable branch.
     """
     cfg, spec = runner.cfg, runner.spec
     tol = cfg.pull_in_bracket_tolerance
@@ -300,7 +311,7 @@ def _pull_in_search(runner: _Runner, cap: float) -> PullInResult:
 
     def solve_at(x: float) -> None:
         near = min(solved, key=lambda t: abs(t - x), default=None)
-        start = beam.zero_field(runner.mesh) if near is None else solved[near].deflection
+        start = runner.linear_op.solve(lambda _: 1.0) if near is None else solved[near].deflection
         res = runner.at_tip(x * spec.gap_g, start)
         if not res.converged or res.voltage > cap:
             raise PullInNotFoundError(
@@ -364,9 +375,10 @@ def voltage_sweep(
 ) -> SweepResult:
     """Equilibria at n_steps equally spaced voltages up to v_max.
 
-    Each point is warm-started from the previous solution (continuation);
-    the sweep stops at the first non-converged point and, when that
-    happens, adds the PullInResult of the search ``find_pull_in`` runs.
+    Each point starts from the previous solution scaled by (V_k / V_{k-1})^2,
+    or unscaled where that tip would not lie inside the gap; the sweep stops
+    at the first non-converged point and, when that happens, adds the
+    PullInResult of the search ``find_pull_in`` runs.
     """
     if not 0.0 < v_max < math.inf:
         raise ValueError(f"v_max must be positive and finite (got {v_max})")
@@ -381,7 +393,13 @@ def voltage_sweep(
     last_ok = EquilibriumResult(beam.zero_field(runner.mesh), True, 0, 0.0)
     for k in range(1, n_steps + 1):
         v = v_max * k / n_steps
-        res = runner.equilibrium(v, start=last_ok.deflection)
+        # the load scales as V^2: extrapolate, unless that reaches the electrode
+        start = last_ok.deflection
+        if last_ok.voltage > 0.0:
+            scaled = beam.DeflectionField(runner.mesh, start.dofs * (v / last_ok.voltage) ** 2)
+            if scaled.tip < spec.gap_g:
+                start = scaled
+        res = runner.equilibrium(v, start=start)
         points.append(SweepPoint(v, res.deflection.tip, res.converged, res.iterations))
         if not res.converged:
             pull_in = _pull_in_search(runner, math.inf)  # the failure shows one exists

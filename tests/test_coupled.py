@@ -175,6 +175,18 @@ class TestSweep:
         assert not last.converged
         assert 0.0 <= last.tip_displacement < st1_1_measured.gap_g
 
+    @pytest.mark.parametrize("cfg, v_max", [
+        (PLATE, 350.0), (_plate_config("nonlinear", "monolithic"), 350.0), (SolverConfig(), 360.0),
+    ])
+    def test_extrapolated_start_stays_inside_gap(self, st1_1_measured, cfg, v_max):
+        # the first point lies just below pull-in, so the (V_2 / V_1)^2 = 4
+        # extrapolation would start the second beyond the electrode
+        first, last = voltage_sweep(st1_1_measured, v_max, 2, cfg).points
+        gap = st1_1_measured.gap_g
+        assert first.converged and 4.0 * first.tip_displacement >= gap
+        assert not last.converged
+        assert 0.0 <= last.tip_displacement < gap
+
     def test_pull_in_above_search_cap(self):
         # a sweep that failed has seen pull-in, so the search cap does not apply
         sweep = voltage_sweep(STIFF, 2e5, 4, PLATE)
@@ -366,6 +378,39 @@ class TestAitkenRelaxation:
         tip = res.deflection.tip
         assert abs(again.tip - tip) <= 5.0 * COUPLING_TOLERANCE * tip
 
+    @pytest.mark.parametrize("cfg", [SolverConfig(), PLATE], ids=["field2d", "plate"])
+    @pytest.mark.parametrize("x", [0.35, 0.45, 0.55])
+    def test_converged_tip_state_is_a_fixed_point(self, st1_1_measured, cfg, x):
+        # the contraction estimate must not stop short either: one more plain
+        # load-and-solve pass at the same tip barely moves lam = V^2
+        runner = _Runner(st1_1_measured, cfg)
+        tip = x * st1_1_measured.gap_g
+        res = runner.at_tip(tip, runner.linear_op.solve(lambda _: 1.0))
+        assert res.converged
+        _, lam = runner._structural_solve(
+            runner._load_for(res.deflection, 1.0), res.deflection, tip
+        )
+        assert abs(lam - res.voltage**2) <= 5.0 * COUPLING_TOLERANCE * res.voltage**2
+
+    def test_default_stop_agrees_with_tight_stop(self, catalog, catalog_plate_pull_ins,
+                                                 st1_1_measured, monkeypatch):
+        # the contraction estimate at a prescribed tip moves no pull-in by
+        # more than the coupling tolerance allows
+        default = {
+            (label, mode): r.pull_in_voltage
+            for (label, mode, coupling), r in catalog_plate_pull_ins.items()
+            if coupling == "staggered"
+        }
+        default["ST1-1 measured", "field2d"] = find_pull_in(st1_1_measured).pull_in_voltage
+        monkeypatch.setattr(coupled, "COUPLING_TOLERANCE", 1e-13)
+        for spec in catalog:
+            label = f"{spec.id} {spec.dimension_source}"
+            for mode in ("linear", "nonlinear"):
+                tight = find_pull_in(spec, _plate_config(mode, "staggered")).pull_in_voltage
+                assert default[label, mode] == pytest.approx(tight, rel=1e-8), (label, mode)
+        tight = find_pull_in(st1_1_measured).pull_in_voltage
+        assert default["ST1-1 measured", "field2d"] == pytest.approx(tight, rel=1e-8)
+
 
 def cold_pull_in(spec, cfg):
     """The pull-in search with every probe solved from the undeformed beam."""
@@ -402,9 +447,17 @@ class TestContinuation:
 
     @pytest.mark.parametrize("sid", ["ST1-1", "ST1-6"])
     def test_field_solves_per_search(self, field2d_pull_ins, sid):
-        # cold probes took 114 (ST1-1) and 103 (ST1-6) field solves
+        # 16 with the plain stop and an undeformed first start; cold probes
+        # took 114 (ST1-1) and 103 (ST1-6)
         _, n_solves = field2d_pull_ins[sid]
-        assert n_solves <= 85
+        assert n_solves == 12
+
+    def test_field2d_sweep_field_solves(self, st1_1_measured, monkeypatch):
+        # 43 with each point starting from the unscaled previous state
+        calls = _counting(monkeypatch, electro, "solve_field2d")
+        sweep = voltage_sweep(st1_1_measured, 170.0, 10, SolverConfig())
+        assert all(p.converged for p in sweep.points)
+        assert len(calls) == 36
 
     def test_field2d_bracket_equals_cold_search(self, st1_1_measured, field2d_pull_ins):
         # the maximum of V(tip) lies in the bracket of a cold voltage search,
