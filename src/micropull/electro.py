@@ -13,14 +13,16 @@ The field-mesh geometry is rebuilt on every call (transfinite interpolation
 between the deformed beam face and the fixed counter-electrode face), so
 repeated coupled iterations cannot accumulate mesh distortion.  What depends
 only on the mesh size (nx, ny, n_beam) is cached once per size: the triangle
-topology, the Dirichlet split and the sparsity pattern of the reduced
-matrix, with a map that scatters the element entries straight into it.
-Linear triangles on the structured grid keep the discrete operator monotone,
-which preserves the maximum principle for the potential.
+topology, the Dirichlet split, a low-fill order of the unknowns and the
+reduced matrix's pattern, with a map that scatters element entries into it.
+The reduced matrix is symmetric positive definite but, on a bent grid, not
+an M-matrix (some off-diagonal entries are positive), so the discrete maximum
+principle is not guaranteed; it is a property the tests check on bent beams.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import time
 from dataclasses import dataclass
@@ -155,28 +157,35 @@ def plate_load_slope_on_gap(spec: Specimen, gap, voltage: float, fringing_coeffi
     )
 
 
+# a symmetric 3 x 3 element matrix has 6 distinct entries (i <= j);
+# element entry 3 i + j is distinct entry _DISTINCT_OF[3 i + j]
+_DISTINCT_I, _DISTINCT_J = np.triu_indices(3)
+_DISTINCT_OF = np.array([0, 1, 2, 1, 3, 4, 2, 4, 5])
+
+
 @dataclass(frozen=True)
 class _FieldPattern:
     """Index maps of the field system on an (nx x ny)-cell grid whose first
     n_beam + 1 bottom nodes form the beam face.
 
     Node id = column * (ny + 1) + row; each cell is split along its
-    up-right diagonal into two right-ish triangles.  Element entry e of the
-    flattened (n_tri, 3, 3) element matrices couples node
-    ``tri[e // 9, e % 9 // 3]`` (row) to node ``tri[e // 9, e % 3]`` (column).
-    The unknowns are the free nodes in increasing id order.
+    up-right diagonal into two right-ish triangles, triangle t with the
+    vertices ``tri[:, t]``.  Distinct entry d of the flattened (n_tri, 6)
+    element entries is entry (_DISTINCT_I[d % 6], _DISTINCT_J[d % 6]) of
+    triangle d // 6.  The unknowns are the free nodes in nested-dissection order.
     """
 
-    tri: np.ndarray  # (n_tri, 3) node ids
+    tri: np.ndarray  # (3, n_tri) node ids
     free: np.ndarray  # node id of each unknown
-    kff_slot: np.ndarray  # per entry: its slot in K_ff's CSC data, nnz if outside K_ff
+    kff_slot: np.ndarray  # per distinct entry: its upper-triangle slot, n_upper if outside K_ff
+    kff_mirror: np.ndarray  # per slot of K_ff's CSC data: its upper-triangle slot
     kff_indices: np.ndarray  # K_ff CSC row indices
     kff_indptr: np.ndarray  # K_ff CSC column pointers
-    rhs_entries: np.ndarray  # entries coupling a free row to a beam-face column
+    rhs_entries: np.ndarray  # distinct entries coupling a free row to a beam-face column
     rhs_rows: np.ndarray  # their unknown index
-    beam_entries: np.ndarray  # entries in a beam-face row
+    beam_entries: np.ndarray  # distinct entries in a beam-face row
     beam_cols: np.ndarray  # their column node id
-    top_entries: np.ndarray  # entries in a counter-electrode row
+    top_entries: np.ndarray  # distinct entries in a counter-electrode row
     top_cols: np.ndarray  # their column node id
 
 
@@ -184,49 +193,74 @@ class _FieldPattern:
 def _field_pattern(nx: int, ny: int, n_beam: int) -> _FieldPattern:
     cols, rows = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
     n00 = (cols * (ny + 1) + rows).ravel()
-    n01 = n00 + 1
-    n10 = n00 + (ny + 1)
-    n11 = n10 + 1
-    tri = np.concatenate(
-        [np.stack([n00, n10, n11], axis=1), np.stack([n00, n11, n01], axis=1)]
-    ).astype(np.int64)
+    n10 = n00 + (ny + 1)  # the cell's lower-right corner; n00 + 1 is its upper-left
+    tri = np.stack([np.r_[n00, n00], np.r_[n10, n10 + 1], np.r_[n10 + 1, n00 + 1]])
 
     on_beam = np.zeros((nx + 1, ny + 1), dtype=bool)
     on_beam[: n_beam + 1, 0] = True
-    on_beam = on_beam.ravel()
-    on_top = np.zeros((nx + 1, ny + 1), dtype=bool)
+    on_top = np.zeros_like(on_beam)
     on_top[:, ny] = True
-    on_top = on_top.ravel()
-    free = np.flatnonzero(~(on_beam | on_top))
+    on_beam, on_top = on_beam.ravel(), on_top.ravel()
+
+    # nested dissection (George, 1973) of the grid below the counter
+    # electrode: one full column or row across the longer side splits a
+    # block, both halves are numbered before it, down to leaves of at most
+    # 8 nodes.  SuperLU keeps this order, whose fill is about 1.1 times a
+    # minimum-degree order's, so no ordering pass runs per solve.
+    rank = np.empty((nx + 1, ny), dtype=np.int64)
+    blocks = itertools.count()
+
+    def dissect(block):  # a view of rank; a leaf or separator takes the next number
+        if block.size > 8:
+            if block.shape[0] < block.shape[1]:
+                block = block.T
+            mid = block.shape[0] // 2
+            dissect(block[:mid])
+            dissect(block[mid + 1 :])
+            block = block[mid]
+        block[...] = next(blocks)
+
+    dissect(rank)
+    free = np.argsort(rank, axis=None, kind="stable")
+    free += free // ny  # index c ny + r of rank -> node id c (ny + 1) + r
+    free = free[~on_beam[free]]
     n_free = free.size
     unknown = np.full(on_beam.size, -1, dtype=np.int64)
     unknown[free] = np.arange(n_free)
 
-    row = np.repeat(tri, 3, axis=1).ravel()
-    col = np.tile(tri, (1, 3)).ravel()
-    ur, uc = unknown[row], unknown[col]
+    # each distinct entry lands in K_ff's upper triangle, whose slots are
+    # numbered in (column, row) order with duplicates merged
+    ur, uc = unknown[tri[_DISTINCT_I].T].ravel(), unknown[tri[_DISTINCT_J].T].ravel()
     in_kff = (ur >= 0) & (uc >= 0)
-    # sorting by (column, row) gives CSC order with duplicates merged
-    keys, slot = np.unique(uc[in_kff] * n_free + ur[in_kff], return_inverse=True)
-    kff_slot = np.full(row.size, keys.size, dtype=np.int64)
+    hi, lo = np.maximum(ur, uc)[in_kff], np.minimum(ur, uc)[in_kff]
+    upper, slot = np.unique(hi * n_free + lo, return_inverse=True)
+    kff_slot = np.full(ur.size, upper.size, dtype=np.int64)
     kff_slot[in_kff] = slot
-    indptr = np.zeros(n_free + 1, dtype=np.int64)
-    np.cumsum(np.bincount(keys // n_free, minlength=n_free), out=indptr[1:])
+    # K_ff's CSC pattern is that triangle and its mirror image; in it,
+    # each slot holds the number of its upper-triangle slot, plus one
+    col_u, row_u = np.divmod(upper, n_free)
+    marks = sp.csc_matrix((np.arange(1, upper.size + 1), (row_u, col_u)), shape=(n_free, n_free))
+    marks = (marks + sp.triu(marks, k=1).T).tocsc()
 
-    rhs_entries = np.flatnonzero((ur >= 0) & on_beam[col])
+    # the flux and load terms keep the order of the 9 element entries
+    row = np.repeat(tri.T, 3, axis=1).ravel()
+    col = np.tile(tri.T, (1, 3)).ravel()
+    distinct = (6 * np.arange(tri.shape[1])[:, None] + _DISTINCT_OF).ravel()
+    rhs_entries = np.flatnonzero((unknown[row] >= 0) & on_beam[col])
     beam_entries = np.flatnonzero(on_beam[row])
     top_entries = np.flatnonzero(on_top[row])
     pattern = _FieldPattern(
         tri=tri,
         free=free,
         kff_slot=kff_slot,
-        kff_indices=(keys % n_free).astype(np.intc),
-        kff_indptr=indptr.astype(np.intc),
-        rhs_entries=rhs_entries,
-        rhs_rows=ur[rhs_entries],
-        beam_entries=beam_entries,
+        kff_mirror=marks.data - 1,
+        kff_indices=marks.indices,
+        kff_indptr=marks.indptr,
+        rhs_entries=distinct[rhs_entries],
+        rhs_rows=unknown[row[rhs_entries]],
+        beam_entries=distinct[beam_entries],
         beam_cols=col[beam_entries],
-        top_entries=top_entries,
+        top_entries=distinct[top_entries],
         top_cols=col[top_entries],
     )
     for arr in vars(pattern).values():
@@ -279,33 +313,24 @@ def solve_field2d(
     y = y_low[:, None] + (g - y_low)[:, None] * frac[None, :]
 
     pat = _field_pattern(nx, ny, n_beam)
-    nodes_x = np.repeat(x, ny + 1)
-    nodes_y = y.ravel()
-
-    px = nodes_x[pat.tri]
-    py = nodes_y[pat.tri]
-    b = py[:, [1, 2, 0]] - py[:, [2, 0, 1]]
-    c = px[:, [2, 0, 1]] - px[:, [1, 2, 0]]
-    area2 = px[:, 0] * b[:, 0] + px[:, 1] * b[:, 1] + px[:, 2] * b[:, 2]
+    px = np.repeat(x, ny + 1)[pat.tri]
+    py = y.ravel()[pat.tri]
+    b = py[[1, 2, 0]] - py[[2, 0, 1]]
+    c = px[[2, 0, 1]] - px[[1, 2, 0]]
+    area2 = px[0] * b[0] + px[1] * b[1] + px[2] * b[2]
     if not np.all(area2 > 0.0):
         # an open gap of ~1e8 m or more rounds the grid's triangles to no area
         raise ValueError("field mesh has degenerate triangles: deflection out of range")
-    k_el = (
-        np.einsum("ti,tj->tij", b, b) + np.einsum("ti,tj->tij", c, c)
-    ) / (2.0 * area2)[:, None, None]
-    k_entries = k_el.ravel()
+    k_dist = (b[_DISTINCT_I] * b[_DISTINCT_J] + c[_DISTINCT_I] * c[_DISTINCT_J]) / (2.0 * area2)
+    # triangle-major, so each K_ff slot sums its entries in triangle order
+    k_entries = k_dist.T.ravel()
 
-    # K_ff straight from the element entries; entries outside K_ff land in
-    # the extra last bin and are dropped
+    # K_ff's upper triangle straight from the distinct entries, mirrored;
+    # entries outside K_ff land in the extra last bin, which no slot reads
     n_free = pat.free.size
-    nnz = pat.kff_indices.size
+    k_upper = np.bincount(pat.kff_slot, weights=k_entries)
     k_ff = sp.csc_matrix(
-        (
-            np.bincount(pat.kff_slot, weights=k_entries, minlength=nnz + 1)[:nnz],
-            pat.kff_indices,
-            pat.kff_indptr,
-        ),
-        shape=(n_free, n_free),
+        (k_upper[pat.kff_mirror], pat.kff_indices, pat.kff_indptr), shape=(n_free, n_free)
     )
     # only the beam face carries a non-zero Dirichlet value
     rhs = -voltage * np.bincount(
@@ -315,18 +340,14 @@ def solve_field2d(
     phi_grid = np.zeros((nx + 1, ny + 1))
     phi_grid[: n_beam + 1, 0] = voltage
     phi = phi_grid.ravel()  # a view, in node-id order
-    # K_ff is symmetric: a symmetric minimum-degree ordering keeps the fill low
-    phi[pat.free] = spla.spsolve(k_ff, rhs, permc_spec="MMD_AT_PLUS_A")
+    # the unknowns are already in a low-fill order, which SuperLU keeps
+    phi[pat.free] = spla.spsolve(k_ff, rhs, permc_spec="NATURAL")
 
     # consistent nodal fluxes: (K phi) at a Dirichlet node integrates
     # d(phi)/dn over that node's share of the electrode boundary; summed
     # they balance between the electrodes exactly
-    beam_charge = VACUUM_PERMITTIVITY * float(
-        k_entries[pat.beam_entries] @ phi[pat.beam_cols]
-    )
-    counter_charge = VACUUM_PERMITTIVITY * float(
-        k_entries[pat.top_entries] @ phi[pat.top_cols]
-    )
+    beam_charge = VACUUM_PERMITTIVITY * float(k_entries[pat.beam_entries] @ phi[pat.beam_cols])
+    counter_charge = VACUUM_PERMITTIVITY * float(k_entries[pat.top_entries] @ phi[pat.top_cols])
 
     # normal-field trace: potential drop over a fixed fraction of the local
     # gap, interpolated along each column (exact for a gap-wise linear field)
@@ -337,10 +358,9 @@ def solve_field2d(
     phi_probe = (1.0 - wgt) * phi_grid[: n_beam + 1, j0] + wgt * phi_grid[: n_beam + 1, j0 + 1]
     local_gap = g - y_low[: n_beam + 1]
     face_field = (voltage - phi_probe) / (eta * local_gap)
-    for arr in (x, y, phi_grid, face_field):
-        arr.setflags(write=False)
     face_x = x[: n_beam + 1].copy()
-    face_x.setflags(write=False)
+    for arr in (x, y, phi_grid, face_x, face_field):
+        arr.setflags(write=False)
 
     logger.debug(
         "field2d solve: %d x %d cells, V=%.3f, %.1f ms",

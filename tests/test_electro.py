@@ -121,6 +121,36 @@ class TestPlateLoad:
             assert analytic == pytest.approx(fd, rel=1e-6)
 
 
+DEFAULT_AND_CRITERION_9_MESHES = pytest.mark.parametrize(
+    "cfg",
+    [LoadModelConfig(), LoadModelConfig(cells_across_gap=48, cells_along_beam=320)],
+    ids=["default", "criterion-9"],
+)
+FIELD_MESHES = pytest.mark.parametrize(
+    "cfg, extension",
+    [
+        (LoadModelConfig(), TIP_EXTENSION_GAPS),
+        (LoadModelConfig(cells_across_gap=13, cells_along_beam=57), TIP_EXTENSION_GAPS),
+        (LoadModelConfig(), 0.0),  # the beam face is the whole bottom edge
+    ],
+    ids=["default", "non-default-mesh", "no-extension"],
+)
+
+
+def captured_kff(spec, deflection, voltage, cfg, monkeypatch):
+    """``solve_field2d``'s solution and the matrix K_ff it hands to ``spsolve``."""
+    seen = []
+    inner = spla.spsolve
+
+    def spsolve(a, b, **kwargs):
+        seen.append(a.copy())
+        return inner(a, b, **kwargs)
+
+    monkeypatch.setattr(electro.spla, "spsolve", spsolve)
+    fs = solve_field2d(spec, deflection, voltage, cfg)
+    return seen[-1], fs
+
+
 @pytest.fixture(scope="module")
 def uniform_solution(st1_1_measured):
     return solve_field2d(st1_1_measured, None, 100.0, LoadModelConfig())
@@ -143,10 +173,16 @@ class TestField2D:
         assert fs.potential.min() >= -slack
         assert fs.potential.max() <= self.V + slack
 
-    def test_maximum_principle_deformed(self, st1_1_measured):
+    @DEFAULT_AND_CRITERION_9_MESHES
+    @pytest.mark.parametrize("bend", [0.4, 0.9, 0.99])
+    def test_maximum_principle_deformed(self, st1_1_measured, cfg, bend, monkeypatch):
+        # K_ff of a bent grid has positive off-diagonal entries, so it is no
+        # M-matrix and the discrete maximum principle is no theorem here: a
+        # property of these meshes, checked up to a nearly closed tip
         s = st1_1_measured
-        shape = lambda x: 0.4 * s.gap_g * (x / s.length_l) ** 2
-        fs = solve_field2d(s, shape, self.V, LoadModelConfig())
+        shape = lambda x: bend * s.gap_g * (x / s.length_l) ** 2
+        k_ff, fs = captured_kff(s, shape, self.V, cfg, monkeypatch)
+        assert sp.triu(k_ff, k=1).max() > 0.0
         slack = 1e-9 * self.V
         assert fs.potential.min() >= -slack
         assert fs.potential.max() <= self.V + slack
@@ -287,15 +323,7 @@ def assert_matches_reference(fs, cfg: LoadModelConfig, rel=1e-12):
 class TestField2DAgainstReference:
     """The cached scatter assembly against the global-matrix reference solve."""
 
-    @pytest.mark.parametrize(
-        "cfg, extension",
-        [
-            (LoadModelConfig(), TIP_EXTENSION_GAPS),
-            (LoadModelConfig(cells_across_gap=13, cells_along_beam=57), TIP_EXTENSION_GAPS),
-            (LoadModelConfig(), 0.0),  # the beam face is the whole bottom edge
-        ],
-        ids=["default", "non-default-mesh", "no-extension"],
-    )
+    @FIELD_MESHES
     @pytest.mark.parametrize("bend", [0.0, 0.3, 0.9], ids=["flat", "bent", "near-gap"])
     def test_matches_reference(self, st1_1_measured, cfg, extension, bend, monkeypatch):
         monkeypatch.setattr(electro, "TIP_EXTENSION_GAPS", extension)
@@ -322,6 +350,34 @@ class TestField2DAgainstReference:
         b = _field_pattern(48, ny, 40)
         assert a is not b
         assert b.free.size == a.free.size + 3
+
+
+class TestFieldOrdering:
+    """The unknowns' nested-dissection order, which SuperLU keeps as given."""
+
+    @FIELD_MESHES
+    def test_free_nodes_permuted(self, st1_1_measured, cfg, extension, monkeypatch):
+        monkeypatch.setattr(electro, "TIP_EXTENSION_GAPS", extension)
+        fs = solve_field2d(st1_1_measured, None, 1.0, cfg)
+        nx, ny, n_beam = fs.grid_x.size - 1, fs.grid_y.shape[1] - 1, cfg.cells_along_beam
+        dirichlet = np.zeros((nx + 1, ny + 1), dtype=bool)
+        dirichlet[: n_beam + 1, 0] = True
+        dirichlet[:, ny] = True
+        free = _field_pattern(nx, ny, n_beam).free
+        assert np.array_equal(np.sort(free), np.flatnonzero(~dirichlet))
+
+    @DEFAULT_AND_CRITERION_9_MESHES
+    def test_factors_without_pivoting_and_little_fill(self, st1_1_measured, cfg, monkeypatch):
+        s = st1_1_measured
+        shape = lambda x: 0.9 * s.gap_g * (x / s.length_l) ** 2
+        k_ff, fs = captured_kff(s, shape, 100.0, cfg, monkeypatch)
+        lu = spla.splu(k_ff, permc_spec="NATURAL")
+        assert np.array_equal(lu.perm_r, lu.perm_c)  # every pivot on the diagonal
+        # against a minimum-degree order of K_ff in increasing node id
+        nx, ny = fs.grid_x.size - 1, fs.grid_y.shape[1] - 1
+        by_id = np.argsort(_field_pattern(nx, ny, cfg.cells_along_beam).free)
+        mmd = spla.splu(k_ff[by_id][:, by_id].tocsc(), permc_spec="MMD_AT_PLUS_A")
+        assert lu.L.nnz + lu.U.nnz <= 1.2 * (mmd.L.nnz + mmd.U.nnz)
 
 
 class TestMaxwellLoad:

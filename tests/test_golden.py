@@ -48,6 +48,10 @@ CASES = {
         "band", "--id", "ST1-6", "--dims", "measured", "--load", "plate",
         "--model", "linear", "--vmax", "100", "--steps", "6",
     ],
+    # the default field2d load on the modulus band: its iteration counts
+    "band-ST1-6-measured-field2d-nonlinear": [
+        "band", "--id", "ST1-6", "--dims", "measured", "--vmax", "100", "--steps", "3",
+    ],
     "sweep-ST1-1-measured-field2d-linear": [
         "sweep", "--id", "ST1-1", "--dims", "measured", "--load", "field2d",
         "--model", "linear", "--vmax", "200", "--steps", "5",
