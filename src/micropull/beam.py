@@ -22,8 +22,9 @@ element plus an EA/l axial chain, with no axial-transverse coupling
 vol. 1, 1991, ch. 7).  ``LinearBeamOperator`` factors it once by banded
 Cholesky; the axial DOFs of a linear solve stay exactly zero.
 
-Transverse loads are given per unit undeformed length and keep their
-direction (transverse to the undeformed axis) as the beam deforms.
+Transverse loads are given per unit undeformed length, as values at the
+quadrature points, and keep their direction (transverse to the undeformed
+axis) as the beam deforms.
 """
 
 from __future__ import annotations
@@ -41,9 +42,6 @@ from .catalog import Specimen
 from .errors import ConvergenceError
 
 logger = logging.getLogger(__name__)
-
-# Load per unit length as a function of axial position, vectorized over x.
-DistributedLoad = Callable[[np.ndarray], np.ndarray]
 
 MIN_ELEMENTS = 4
 NEWTON_ITERATIONS = 30  # a Newton solve fails after this many steps
@@ -97,10 +95,6 @@ class BeamMesh:
     def gauss_points(self) -> np.ndarray:
         """Global quadrature abscissae, shape (n_elements, 3)."""
         return self.node_positions[:-1, None] + _GAUSS_XI[None, :] * self.element_length
-
-    def gauss_weights(self) -> np.ndarray:
-        """Quadrature weights including the element length, shape (3,)."""
-        return _GAUSS_W * self.element_length
 
 
 def build_mesh(spec: Specimen, n_elements: int) -> BeamMesh:
@@ -185,69 +179,47 @@ def _hermite_basis(xi: np.ndarray, length: float):
     return n1, n2, n3, n4
 
 
-@lru_cache(maxsize=16)
-def _gauss_shape(length: float):
-    """``_hermite_basis`` at the 3 Gauss points of an element of ``length``."""
-    basis = _hermite_basis(_GAUSS_XI, length)
-    for n in basis:
-        n.setflags(write=False)
-    return basis
-
-
-def _evaluate_load(load: DistributedLoad, x: np.ndarray) -> np.ndarray:
-    q = np.asarray(load(x), dtype=float)
-    if q.shape != x.shape:
-        q = np.broadcast_to(q, x.shape).astype(float)
-    if not np.isfinite(q).all():
-        raise ValueError("distributed load returned non-finite values")
-    return q
-
-
-def gauss_load_values(mesh: BeamMesh, load: DistributedLoad) -> np.ndarray:
-    """Load intensity sampled at the quadrature points, shape (n_elements, 3)."""
-    xg = mesh.gauss_points()
-    return _evaluate_load(load, xg.ravel()).reshape(xg.shape)
-
-
 def transverse_load_operators(mesh: BeamMesh):
     """(G, w, K) for a transverse load q(v) that follows the deflection.
 
     The rows of G map a DOF vector to v at the quadrature points and w holds
     their quadrature weights, so the load vector is G^T (w q); the function
     K(c) = G^T diag(c) G, summed from 4 x 4 element blocks in band storage,
-    gives the load stiffness K(w q')."""
-    shape = np.stack(_gauss_shape(mesh.element_length), axis=1)  # (point, DOF)
-    dofs = 3 * np.arange(mesh.n_elements)[:, None] + np.array([1, 2, 4, 5])
-    n = 3 * mesh.n_nodes
-    g = np.zeros((3 * mesh.n_elements, n))
-    g[np.arange(len(g))[:, None], np.repeat(dofs, 3, axis=0)] = np.tile(shape, (mesh.n_elements, 1))
+    gives the load stiffness K(w q').  Cached per element count and length;
+    G and w are read-only."""
+    return _load_operators(mesh.n_elements, mesh.element_length)
+
+
+@lru_cache(maxsize=8)
+def _load_operators(n_elements: int, length: float):
+    shape = np.stack(_hermite_basis(_GAUSS_XI, length), axis=1)  # (point, DOF)
+    dofs = 3 * np.arange(n_elements)[:, None] + np.array([1, 2, 4, 5])
+    n = 3 * n_elements + 3
+    g = np.zeros((3 * n_elements, n))
+    g[np.arange(len(g))[:, None], np.repeat(dofs, 3, axis=0)] = np.tile(shape, (n_elements, 1))
     outer = (shape[:, :, None] * shape[:, None, :]).reshape(3, 16)
     flat = ((_HALF_BAND + dofs[:, :, None] - dofs[:, None, :]) * n + dofs[:, None, :]).ravel()
 
     def stiffness(c: np.ndarray) -> np.ndarray:
         return np.bincount(flat, (c.reshape(-1, 3) @ outer).ravel(), _BAND_ROWS * n).reshape(-1, n)
 
-    return g, np.tile(mesh.gauss_weights(), mesh.n_elements), stiffness
+    w = np.tile(_GAUSS_W * length, n_elements)
+    g.setflags(write=False)
+    w.setflags(write=False)
+    return g, w, stiffness
 
 
 def consistent_load_vector(
-    mesh: BeamMesh,
-    load: DistributedLoad | None,
-    tip_force: float = 0.0,
-    tip_moment: float = 0.0,
+    mesh: BeamMesh, q=0.0, tip_force: float = 0.0, tip_moment: float = 0.0
 ) -> np.ndarray:
-    """Assemble the work-equivalent nodal force vector for a transverse load."""
-    f = np.zeros(3 * mesh.n_nodes)
-    if load is not None:
-        qg = gauss_load_values(mesh, load)  # (n_el, 3)
-        wq = qg * mesh.gauss_weights()[None, :]
-        n1, n2, n3, n4 = _gauss_shape(mesh.element_length)
-        fe = np.stack(
-            [wq @ n1, wq @ n2, wq @ n3, wq @ n4], axis=1
-        )  # (n_el, 4): (va, tha, vb, thb)
-        nodal = f.reshape(-1, 3)
-        nodal[:-1, 1:] += fe[:, :2]
-        nodal[1:, 1:] += fe[:, 2:]
+    """Work-equivalent nodal force vector G^T (w q) of a transverse line load
+    ``q`` plus tip loads; ``q`` holds the load at ``mesh.gauss_points()`` in
+    that order, or one value for a uniform load.  Raises ValueError if a
+    value of ``q`` is not finite."""
+    if not np.isfinite(q).all():
+        raise ValueError("line load is not finite")
+    g, w, _ = transverse_load_operators(mesh)
+    f = g.T @ (w * np.ravel(q))
     f[-2] += tip_force
     f[-1] += tip_moment
     return f
@@ -270,26 +242,18 @@ class LinearBeamOperator:
         self.k_band.setflags(write=False)
         self._factor = _lapack(_PBTRF, self.k_band[: _HALF_BAND + 1, 3:])
 
-    def solve(
-        self,
-        load: DistributedLoad | None = None,
-        tip_force: float = 0.0,
-        tip_moment: float = 0.0,
-    ) -> DeflectionField:
-        f = consistent_load_vector(self.mesh, load, tip_force, tip_moment)
-        d = np.zeros_like(f)
-        d[3:] = _lapack(_PBTRS, self._factor, f[3:])
+    def solve(self, f_ext: np.ndarray) -> DeflectionField:
+        """Small-displacement solution under the load vector ``f_ext``."""
+        d = np.zeros(3 * self.mesh.n_nodes)
+        d[3:] = _lapack(_PBTRS, self._factor, f_ext[3:])
         return DeflectionField(self.mesh, d)
 
 
 def solve_linear(
-    mesh: BeamMesh,
-    load: DistributedLoad | None = None,
-    tip_force: float = 0.0,
-    tip_moment: float = 0.0,
+    mesh: BeamMesh, q=0.0, tip_force: float = 0.0, tip_moment: float = 0.0
 ) -> DeflectionField:
-    """Small-displacement solution for a transverse load and optional tip loads."""
-    return LinearBeamOperator(mesh).solve(load, tip_force, tip_moment)
+    """Small-displacement solution under the loads of ``consistent_load_vector``."""
+    return LinearBeamOperator(mesh).solve(consistent_load_vector(mesh, q, tip_force, tip_moment))
 
 
 # ----------------------------------------------------------------------
@@ -507,19 +471,16 @@ def newton_solve(
 
 
 def solve_nonlinear(
-    mesh: BeamMesh,
-    load: DistributedLoad | None = None,
-    tip_force: float = 0.0,
-    tip_moment: float = 0.0,
+    mesh: BeamMesh, q=0.0, tip_force: float = 0.0, tip_moment: float = 0.0
 ) -> DeflectionField:
-    """Large-rotation equilibrium under a fixed transverse load.
+    """Large-rotation equilibrium under the loads of ``consistent_load_vector``.
 
     The full load is attempted in one Newton solve first; on divergence the
     load is applied in 2, 4, ... increments (warm-started) up to
     LOAD_INCREMENTS.  Raises ConvergenceError when even the finest
     incrementation fails.
     """
-    f_ext = consistent_load_vector(mesh, load, tip_force, tip_moment)
+    f_ext = consistent_load_vector(mesh, q, tip_force, tip_moment)
     if np.linalg.norm(f_ext[3:]) == 0.0:
         return zero_field(mesh)
 

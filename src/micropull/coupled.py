@@ -12,6 +12,11 @@ Two coupling modes solve the same discrete problem:
   function of the deflection and its analytic load-softening term
   d q / d v in the Jacobian.
 
+Both modes build every load vector the same way: ``beam.consistent_load_vector``
+assembles the load model's line load at the beam's quadrature points, and the
+plate load takes its gaps there, and at the tip, from one product with the
+cached matrix G of ``beam.transverse_load_operators``.
+
 Pull-in is the maximum of the equilibrium voltage over the tip deflection.
 The search prescribes the tip deflection and solves for V (DIPIE: Bochobza-
 Degani, Elata & Nemirovsky, JMEMS 11(5), 2002): at fixed geometry both load
@@ -160,12 +165,27 @@ class _Runner:
 
     # -- load construction -------------------------------------------------
 
-    def _load_for(self, fld: beam.DeflectionField, voltage: float):
+    @cached_property
+    def gap_rows(self) -> np.ndarray:
+        """G of ``load_operators``, then a row that picks the tip deflection."""
+        g_mat = self.load_operators[0]
+        return np.vstack([g_mat, np.eye(1, g_mat.shape[1], g_mat.shape[1] - 2)])
+
+    def _plate_gaps(self, d: np.ndarray) -> np.ndarray:
+        """Gaps g - v of the DOF vector ``d`` at the quadrature points, then at the tip."""
+        return self.spec.gap_g - self.gap_rows @ d
+
+    def _load_for(self, d: np.ndarray, voltage: float) -> np.ndarray:
+        """Load vector of ``voltage`` on the DOF vector ``d``."""
         lm = self.cfg.load_model
         if lm.kind == electro.PARALLEL_PLATE:
-            return electro.plate_load(self.spec, fld, voltage, lm.fringing_coefficient)
-        solution = electro.solve_field2d(self.spec, fld, voltage, lm)
-        return electro.maxwell_load(solution, self.spec)
+            gaps = self._plate_gaps(d)
+            q = electro.plate_load(self.spec, gaps, voltage, lm.fringing_coefficient)[:-1]
+        else:
+            fld = beam.DeflectionField(self.mesh, d)
+            solution = electro.solve_field2d(self.spec, fld, voltage, lm)
+            q = electro.maxwell_load(solution, self.spec, self.mesh.gauss_points().ravel())
+        return beam.consistent_load_vector(self.mesh, q)
 
     # -- equilibrium -------------------------------------------------------
 
@@ -186,14 +206,15 @@ class _Runner:
         solve = self._staggered if self.cfg.coupling_mode == STAGGERED else self._monolithic
         return solve(voltage, start, tip)
 
-    def _structural_solve(self, load, warm: beam.DeflectionField, tip: float | None = None):
-        """Solve under ``load``, or with ``tip`` under lam times it with the tip
-        pinned; returns (field, lam)."""
+    def _structural_solve(
+        self, f_ext: np.ndarray, warm: beam.DeflectionField, tip: float | None = None
+    ):
+        """Solve under the load vector ``f_ext``, or with ``tip`` under lam times
+        it with the tip pinned; returns (field, lam)."""
         if self.cfg.structural_mode == LINEAR:
-            solved = self.linear_op.solve(load)
+            solved = self.linear_op.solve(f_ext)
             lam = 1.0 if tip is None else tip / solved.tip
             return beam.DeflectionField(self.mesh, lam * solved.dofs), lam
-        f_ext = beam.consistent_load_vector(self.mesh, load)
         d, _, ok, lam = beam.newton_solve(self.mesh, f_ext, start=warm.dofs, tip=tip)
         if not ok:
             raise ConvergenceError("structural Newton solve did not converge")
@@ -213,8 +234,8 @@ class _Runner:
 
         for it in range(1, MAX_COUPLING_ITERATIONS + 1):
             try:
-                load = self._load_for(fld, voltage)
-                solved, lam = self._structural_solve(load, fld, tip)
+                f_ext = self._load_for(fld.dofs, voltage)
+                solved, lam = self._structural_solve(f_ext, fld, tip)
             except GapClosureError:
                 # fld reaches through the counter-electrode; report the
                 # last iterate whose load evaluation succeeded
@@ -256,17 +277,17 @@ class _Runner:
         """``beam.newton_solve`` under the plate load of ``voltage`` as it
         follows the deflection, or under lam times it with ``tip`` prescribed;
         iterations count the load evaluations, and a failure reports ``start``."""
-        spec, (g_mat, weights, stiffness) = self.spec, self.load_operators
+        _, weights, stiffness = self.load_operators
         f_coeff = self.cfg.load_model.fringing_coefficient
         evals = 0
 
         def load(d: np.ndarray):
             nonlocal evals
             evals += 1
-            gap = spec.gap_g - g_mat @ d
-            q = electro.plate_load_on_gap(spec, gap, voltage, f_coeff)
-            dq_dv = electro.plate_load_slope_on_gap(spec, gap, voltage, f_coeff)
-            return g_mat.T @ (weights * q), stiffness(weights * dq_dv)
+            f_ext = self._load_for(d, voltage)
+            gaps = self._plate_gaps(d)[:-1]
+            dq_dv = electro.plate_load_slope(self.spec, gaps, voltage, f_coeff)
+            return f_ext, stiffness(weights * dq_dv)
 
         linear = self.linear_op if self.cfg.structural_mode == LINEAR else None
         try:
@@ -311,7 +332,10 @@ def _pull_in_search(runner: _Runner, cap: float) -> PullInResult:
 
     def solve_at(x: float) -> None:
         near = min(solved, key=lambda t: abs(t - x), default=None)
-        start = runner.linear_op.solve(lambda _: 1.0) if near is None else solved[near].deflection
+        if near is None:  # the linear shape under a uniform load
+            start = runner.linear_op.solve(beam.consistent_load_vector(runner.mesh, 1.0))
+        else:
+            start = solved[near].deflection
         res = runner.at_tip(x * spec.gap_g, start)
         if not res.converged or res.voltage > cap:
             raise PullInNotFoundError(

@@ -1,13 +1,14 @@
 """Electrostatic load models for the actuated cantilever.
 
-Two routes from applied voltage to a structural line load:
+Two routes from applied voltage to a structural line load, each returning
+the load as an array of values:
 
-* ``plate_load``: local parallel-plate pressure on the deformed gap with a
-  multiplicative first-order fringing correction,
+* ``plate_load``: local parallel-plate pressure on an array of deformed gaps
+  with a multiplicative first-order fringing correction,
 * ``solve_field2d`` + ``maxwell_load``: a 2D Laplace solve of the potential
   on a boundary-fitted structured mesh of the deformed gap region, with the
-  line load extracted from the normal-field trace on the beam face via the
-  electrostatic surface pressure eps0 E_n^2 / 2.
+  line load at given abscissae extracted from the normal-field trace on the
+  beam face via the electrostatic surface pressure eps0 E_n^2 / 2.
 
 The field-mesh geometry is rebuilt on every call (transfinite interpolation
 between the deformed beam face and the fixed counter-electrode face), so
@@ -27,13 +28,13 @@ import logging
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, TextIO
+from typing import TextIO
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .beam import DeflectionField, DistributedLoad
+from .beam import DeflectionField
 from .catalog import Specimen
 from .constants import VACUUM_PERMITTIVITY
 from .errors import GapClosureError
@@ -54,10 +55,6 @@ FACE_PROBE_FRACTION = 1.0 / 8.0
 # The field domain runs this many gaps past the tip, so the fringing field
 # around the free end is resolved; its bottom edge there is a Neumann boundary.
 TIP_EXTENSION_GAPS = 2.0
-
-# Transverse deflection as a function of axial position: either a solved
-# field or any vectorized callable (None means the undeformed beam).
-DeflectionLike = DeflectionField | Callable[[np.ndarray], np.ndarray] | None
 
 
 @dataclass(frozen=True)
@@ -101,46 +98,20 @@ class FieldSolution:
     counter_charge_per_depth: float
 
 
-def _deflection_callable(deflection: DeflectionLike):
-    if deflection is None:
-        return lambda x: np.zeros_like(x)
-    if isinstance(deflection, DeflectionField):
-        return deflection.evaluate
-    return deflection
-
-
 def _check_open(gap) -> None:
     """The one gap-closure rule: every local gap must be finite and positive."""
     if not np.all(np.isfinite(gap) & (gap > 0.0)):
         raise GapClosureError("beam face reaches the counter-electrode (or is not finite)")
 
 
-def plate_load(
-    spec: Specimen,
-    deflection: DeflectionLike,
-    voltage: float,
-    fringing_coefficient: float,
-) -> DistributedLoad:
-    """Parallel-plate line load on the deformed gap.
+def plate_load(spec: Specimen, gap, voltage: float, fringing_coefficient: float):
+    """Parallel-plate line load on an array of local gaps g - v.
 
-    q(x) = eps0 w V^2 / (2 (g - v(x))^2) * (1 + f (g - v(x)) / w),
-    attracting the beam toward the counter-electrode.  Raises
-    GapClosureError when the gap at the tip, or at a point where the load
-    is evaluated, is closed or not finite.
+    q = eps0 w V^2 / (2 (g - v)^2) * (1 + f (g - v) / w), attracting the
+    beam toward the counter-electrode.  Raises GapClosureError where a gap
+    is closed or not finite; a caller includes the tip's gap to have it
+    checked.
     """
-    v_of_x = _deflection_callable(deflection)
-    _check_open(spec.gap_g - np.asarray(v_of_x(np.array([spec.length_l])), dtype=float))
-
-    def q(x: np.ndarray) -> np.ndarray:
-        gap = spec.gap_g - np.asarray(v_of_x(x), dtype=float)
-        return plate_load_on_gap(spec, gap, voltage, fringing_coefficient)
-
-    return q
-
-
-def plate_load_on_gap(spec: Specimen, gap, voltage: float, fringing_coefficient: float):
-    """The ``plate_load`` line load on an array of local gaps; raises
-    GapClosureError where a gap is closed or not finite."""
     _check_open(gap)
     w = spec.width_w
     return 0.5 * VACUUM_PERMITTIVITY * w * voltage**2 / gap**2 * (
@@ -148,8 +119,8 @@ def plate_load_on_gap(spec: Specimen, gap, voltage: float, fringing_coefficient:
     )
 
 
-def plate_load_slope_on_gap(spec: Specimen, gap, voltage: float, fringing_coefficient: float):
-    """d q / d v of ``plate_load_on_gap`` on the same open gaps g - v:
+def plate_load_slope(spec: Specimen, gap, voltage: float, fringing_coefficient: float):
+    """d q / d v of ``plate_load`` on the same open gaps g - v:
     eps0 w V^2 / (g - v)^3 * (1 + f (g - v) / (2 w))."""
     w = spec.width_w
     return VACUUM_PERMITTIVITY * w * voltage**2 / gap**3 * (
@@ -191,10 +162,11 @@ class _FieldPattern:
 
 @lru_cache(maxsize=8)
 def _field_pattern(nx: int, ny: int, n_beam: int) -> _FieldPattern:
-    cols, rows = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
-    n00 = (cols * (ny + 1) + rows).ravel()
+    # scratch arrays are deleted once used: at criterion 9 each is 1-2 MB
+    n00 = (np.arange(nx)[:, None] * (ny + 1) + np.arange(ny)).ravel()
     n10 = n00 + (ny + 1)  # the cell's lower-right corner; n00 + 1 is its upper-left
     tri = np.stack([np.r_[n00, n00], np.r_[n10, n10 + 1], np.r_[n10 + 1, n00 + 1]])
+    del n00, n10
 
     on_beam = np.zeros((nx + 1, ny + 1), dtype=bool)
     on_beam[: n_beam + 1, 0] = True
@@ -225,6 +197,7 @@ def _field_pattern(nx: int, ny: int, n_beam: int) -> _FieldPattern:
     free += free // ny  # index c ny + r of rank -> node id c (ny + 1) + r
     free = free[~on_beam[free]]
     n_free = free.size
+    del rank
     unknown = np.full(on_beam.size, -1, dtype=np.int64)
     unknown[free] = np.arange(n_free)
 
@@ -233,22 +206,31 @@ def _field_pattern(nx: int, ny: int, n_beam: int) -> _FieldPattern:
     ur, uc = unknown[tri[_DISTINCT_I].T].ravel(), unknown[tri[_DISTINCT_J].T].ravel()
     in_kff = (ur >= 0) & (uc >= 0)
     hi, lo = np.maximum(ur, uc)[in_kff], np.minimum(ur, uc)[in_kff]
+    del ur, uc
     upper, slot = np.unique(hi * n_free + lo, return_inverse=True)
-    kff_slot = np.full(ur.size, upper.size, dtype=np.int64)
+    del hi, lo
+    kff_slot = np.full(in_kff.size, upper.size, dtype=np.int64)
     kff_slot[in_kff] = slot
+    del in_kff, slot
     # K_ff's CSC pattern is that triangle and its mirror image; in it,
     # each slot holds the number of its upper-triangle slot, plus one
     col_u, row_u = np.divmod(upper, n_free)
     marks = sp.csc_matrix((np.arange(1, upper.size + 1), (row_u, col_u)), shape=(n_free, n_free))
+    del col_u, row_u, upper
     marks = (marks + sp.triu(marks, k=1).T).tocsc()
 
-    # the flux and load terms keep the order of the 9 element entries
-    row = np.repeat(tri.T, 3, axis=1).ravel()
-    col = np.tile(tri.T, (1, 3)).ravel()
-    distinct = (6 * np.arange(tri.shape[1])[:, None] + _DISTINCT_OF).ravel()
-    rhs_entries = np.flatnonzero((unknown[row] >= 0) & on_beam[col])
-    beam_entries = np.flatnonzero(on_beam[row])
-    top_entries = np.flatnonzero(on_top[row])
+    # the flux and load terms keep the order of the 9 element entries:
+    # entry 9 t + 3 i + j couples vertex i (its row) and vertex j of triangle t
+    vert = tri.T
+    free_v, beam_v, top_v = unknown[vert] >= 0, on_beam[vert], on_top[vert]
+
+    def entries(mask):  # (distinct entry, row node, column node) of each entry in mask
+        t, ij = np.divmod(np.flatnonzero(mask), 9)
+        return 6 * t + _DISTINCT_OF[ij], vert[t, ij // 3], vert[t, ij % 3]
+
+    rhs_entries, rhs_nodes, _ = entries(free_v[:, :, None] & beam_v[:, None, :])
+    beam_entries, _, beam_cols = entries(np.repeat(beam_v, 3, axis=1))
+    top_entries, _, top_cols = entries(np.repeat(top_v, 3, axis=1))
     pattern = _FieldPattern(
         tri=tri,
         free=free,
@@ -256,12 +238,12 @@ def _field_pattern(nx: int, ny: int, n_beam: int) -> _FieldPattern:
         kff_mirror=marks.data - 1,
         kff_indices=marks.indices,
         kff_indptr=marks.indptr,
-        rhs_entries=distinct[rhs_entries],
-        rhs_rows=unknown[row[rhs_entries]],
-        beam_entries=distinct[beam_entries],
-        beam_cols=col[beam_entries],
-        top_entries=distinct[top_entries],
-        top_cols=col[top_entries],
+        rhs_entries=rhs_entries,
+        rhs_rows=unknown[rhs_nodes],
+        beam_entries=beam_entries,
+        beam_cols=beam_cols,
+        top_entries=top_entries,
+        top_cols=top_cols,
     )
     for arr in vars(pattern).values():
         arr.setflags(write=False)
@@ -270,7 +252,7 @@ def _field_pattern(nx: int, ny: int, n_beam: int) -> _FieldPattern:
 
 def solve_field2d(
     spec: Specimen,
-    deflection: DeflectionLike,
+    deflection: DeflectionField | None,
     voltage: float,
     config: LoadModelConfig | None = None,
 ) -> FieldSolution:
@@ -280,7 +262,8 @@ def solve_field2d(
     Boundary conditions: potential = voltage on the beam face (y = v(x),
     x in [0, l]), 0 on the counter-electrode face (y = g, full domain
     length), homogeneous Neumann on the lateral boundaries and on the
-    bottom continuation beyond the tip.  The normal-field trace and the
+    bottom continuation beyond the tip; ``None`` stands for the undeformed
+    beam.  The normal-field trace and the
     electrode charges are extracted from consistent nodal fluxes, which
     balance exactly between the electrodes in the discrete system.  Raises
     GapClosureError when the gap at a field-mesh column (the tip is one)
@@ -289,7 +272,6 @@ def solve_field2d(
     """
     cfg = config or LoadModelConfig()
     started = time.perf_counter()
-    v_of_x = _deflection_callable(deflection)
 
     l = spec.length_l
     g = spec.gap_g
@@ -304,7 +286,7 @@ def solve_field2d(
     x[n_beam + 1 :] = l + dx * np.arange(1, n_ext + 1)
 
     y_low = np.empty(nx + 1)
-    y_low[: n_beam + 1] = np.asarray(v_of_x(x[: n_beam + 1]), dtype=float)
+    y_low[: n_beam + 1] = 0.0 if deflection is None else deflection.evaluate(x[: n_beam + 1])
     y_low[n_beam + 1 :] = y_low[n_beam]  # straight continuation past the tip
     _check_open(g - y_low)
 
@@ -321,9 +303,13 @@ def solve_field2d(
     if not np.all(area2 > 0.0):
         # an open gap of ~1e8 m or more rounds the grid's triangles to no area
         raise ValueError("field mesh has degenerate triangles: deflection out of range")
-    k_dist = (b[_DISTINCT_I] * b[_DISTINCT_J] + c[_DISTINCT_I] * c[_DISTINCT_J]) / (2.0 * area2)
-    # triangle-major, so each K_ff slot sums its entries in triangle order
-    k_entries = k_dist.T.ravel()
+    # the distinct entries, triangle-major, so each K_ff slot sums its
+    # entries in triangle order
+    b, c = b.T, c.T
+    k_entries = (
+        (b[:, _DISTINCT_I] * b[:, _DISTINCT_J] + c[:, _DISTINCT_I] * c[:, _DISTINCT_J])
+        / (2.0 * area2)[:, None]
+    ).ravel()
 
     # K_ff's upper triangle straight from the distinct entries, mirrored;
     # entries outside K_ff land in the extra last bin, which no slot reads
@@ -378,19 +364,16 @@ def solve_field2d(
     )
 
 
-def maxwell_load(field: FieldSolution, spec: Specimen) -> DistributedLoad:
-    """Line load from the electrostatic surface pressure on the beam face.
+def maxwell_load(field: FieldSolution, spec: Specimen, x) -> np.ndarray:
+    """Line load from the electrostatic surface pressure on the beam face,
+    at the abscissae ``x``.
 
-    q(x) = w eps0 E_n(x)^2 / 2 for x on the beam, zero beyond the tip;
-    non-negative regardless of the voltage sign.
+    q(x) = w eps0 E_n(x)^2 / 2 for x on the beam, interpolated linearly
+    between the face nodes, zero beyond the tip; non-negative regardless of
+    the voltage sign.
     """
-    face_x = field.face_x
     face_q = 0.5 * VACUUM_PERMITTIVITY * spec.width_w * field.face_field**2
-
-    def q(x: np.ndarray) -> np.ndarray:
-        return np.interp(x, face_x, face_q, right=0.0)
-
-    return q
+    return np.interp(x, field.face_x, face_q, right=0.0)
 
 
 def integrated_face_force(field: FieldSolution, spec: Specimen) -> float:

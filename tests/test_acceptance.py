@@ -160,7 +160,7 @@ class TestCriterion3StructuralOracle:
         t0 = time.perf_counter()
         mesh20 = build_mesh(st1_1_measured, 20)
         q0 = 1e-2
-        lin = solve_linear(mesh20, lambda x: np.full_like(x, q0))
+        lin = solve_linear(mesh20, q0)
         exact = q0 * st1_1_measured.length_l**4 / (8.0 * mesh20.bending_rigidity)
         lin_err = abs(lin.tip - exact) / exact
 

@@ -10,10 +10,6 @@ from micropull import ConvergenceError, build_mesh, solve_linear, solve_nonlinea
 from micropull import beam
 
 
-def uniform(q0):
-    return lambda x: np.full_like(x, q0)
-
-
 def classical_stiffness(mesh):
     """Classical Euler-Bernoulli assembly in the (v, theta) layout, clamped
     node included: the reference for the tangent at rest."""
@@ -125,14 +121,14 @@ class TestLinear:
     def test_uniform_load_tip(self, st1_1_measured):
         mesh = build_mesh(st1_1_measured, 20)
         q0 = 1e-2
-        fld = solve_linear(mesh, uniform(q0))
+        fld = solve_linear(mesh, q0)
         exact = q0 * st1_1_measured.length_l**4 / (8.0 * mesh.bending_rigidity)
         assert fld.tip == pytest.approx(exact, rel=1e-3)
 
     def test_uniform_load_midpoint(self, st1_1_measured):
         mesh = build_mesh(st1_1_measured, 20)
         q0 = 1e-2
-        fld = solve_linear(mesh, uniform(q0))
+        fld = solve_linear(mesh, q0)
         l = st1_1_measured.length_l
         exact = q0 * l**4 * (17.0 / 384.0) / mesh.bending_rigidity
         assert fld.evaluate(l / 2.0) == pytest.approx(exact, rel=1e-3)
@@ -140,7 +136,7 @@ class TestLinear:
     def test_deflection_curve_against_closed_form(self, st1_1_measured):
         mesh = build_mesh(st1_1_measured, 20)
         q0 = 5e-3
-        fld = solve_linear(mesh, uniform(q0))
+        fld = solve_linear(mesh, q0)
         l = st1_1_measured.length_l
         ei = mesh.bending_rigidity
         x = np.linspace(0.0, l, 333)
@@ -149,20 +145,20 @@ class TestLinear:
 
     def test_zero_load_zero_field(self, st1_1_measured):
         mesh = build_mesh(st1_1_measured, 8)
-        fld = solve_linear(mesh, uniform(0.0))
+        fld = solve_linear(mesh, 0.0)
         assert np.all(fld.deflection == 0.0)
         assert np.all(fld.rotation == 0.0)
 
     def test_clamped_boundary_exact(self, st1_1_measured):
         mesh = build_mesh(st1_1_measured, 12)
-        fld = solve_linear(mesh, uniform(0.3))
+        fld = solve_linear(mesh, 0.3)
         assert fld.deflection[0] == 0.0
         assert fld.rotation[0] == 0.0
 
     def test_linearity_in_load(self, st1_1_measured):
         mesh = build_mesh(st1_1_measured, 16)
-        base = solve_linear(mesh, uniform(1e-3))
-        scaled = solve_linear(mesh, uniform(7e-3))
+        base = solve_linear(mesh, 1e-3)
+        scaled = solve_linear(mesh, 7e-3)
         assert np.allclose(scaled.deflection, 7.0 * base.deflection, rtol=1e-12)
 
     def test_tip_point_load(self, st1_1_measured):
@@ -182,7 +178,7 @@ class TestLinear:
 
         def interp_error(n):
             mesh = build_mesh(st1_1_measured, n)
-            fld = solve_linear(mesh, uniform(q0))
+            fld = solve_linear(mesh, q0)
             ei = mesh.bending_rigidity
             exact = q0 * probe**2 * (6 * l**2 - 4 * l * probe + probe**2) / (24.0 * ei)
             return abs(fld.evaluate(probe) - exact), exact
@@ -233,16 +229,16 @@ class TestLinearIsTangentAtRest:
         # elements, where cond(K[3:, 3:]) is 9e14 in SI units
         mesh = build_mesh(st1_1_measured, 12)
         op = beam.LinearBeamOperator(mesh)
-        f_ext = beam.consistent_load_vector(mesh, uniform(0.3), tip_force=1e-6)
+        f_ext = beam.consistent_load_vector(mesh, 0.3, tip_force=1e-6)
         d, history, ok, lam = beam.newton_solve(mesh, f_ext, linear=op)
         assert ok and lam == 1.0
         assert len(history) == 2
-        expected = op.solve(uniform(0.3), tip_force=1e-6).dofs
+        expected = op.solve(f_ext).dofs
         np.testing.assert_allclose(d, expected, rtol=1e-12, atol=0.0)
 
     def test_linear_solve_has_zero_axial(self, st1_1_measured):
         mesh = build_mesh(st1_1_measured, 12)
-        fld = solve_linear(mesh, uniform(0.3), tip_force=1e-6, tip_moment=1e-12)
+        fld = solve_linear(mesh, 0.3, tip_force=1e-6, tip_moment=1e-12)
         assert fld.tip > 0.0
         assert np.all(fld.axial == 0.0)
 
@@ -322,15 +318,15 @@ class TestRawLapack:
     def test_operator_solve_is_cho_solve_banded(self, mesh):
         op = beam.LinearBeamOperator(mesh)
         factor = scipy.linalg.cholesky_banded(op.k_band[:6, 3:], lower=False)
-        f = beam.consistent_load_vector(mesh, uniform(0.3), tip_force=1e-6)
+        f = beam.consistent_load_vector(mesh, 0.3, tip_force=1e-6)
         expected = scipy.linalg.cho_solve_banded((factor, False), f[3:])
-        d = op.solve(uniform(0.3), tip_force=1e-6).dofs
+        d = op.solve(f).dofs
         assert np.all(d[:3] == 0.0)
         assert np.array_equal(d[3:], expected)
 
     def test_singular_tangent_fails_the_newton_solve(self, mesh):
         op = beam.LinearBeamOperator(mesh)
-        f_ext = beam.consistent_load_vector(mesh, uniform(0.3))
+        f_ext = beam.consistent_load_vector(mesh, 0.3)
         with pytest.raises(np.linalg.LinAlgError):
             beam.solve_clamped_banded(np.zeros_like(op.k_band), f_ext)
         # a load stiffness equal to K_t(0) leaves the Jacobian K_t - K_load zero
@@ -349,28 +345,28 @@ class TestRawLapack:
             with pytest.raises(ValueError):
                 beam.solve_clamped_banded(k, r)
         with pytest.raises(ValueError):
-            beam.LinearBeamOperator(mesh).solve(tip_force=np.nan)
+            beam.LinearBeamOperator(mesh).solve(beam.consistent_load_vector(mesh, tip_force=np.nan))
 
 
 class TestNonlinear:
     def test_zero_load_zero_field(self, st1_1_measured):
         mesh = build_mesh(st1_1_measured, 8)
-        fld = solve_nonlinear(mesh, uniform(0.0))
+        fld = solve_nonlinear(mesh, 0.0)
         assert np.all(fld.deflection == 0.0)
 
     def test_small_load_matches_linear(self, st1_1_measured):
         mesh = build_mesh(st1_1_measured, 20)
         q0 = 1e-4  # tip deflection well below 1e-3 l
-        nl = solve_nonlinear(mesh, uniform(q0))
-        li = solve_linear(mesh, uniform(q0))
+        nl = solve_nonlinear(mesh, q0)
+        li = solve_linear(mesh, q0)
         assert nl.tip < 1e-3 * st1_1_measured.length_l
         assert nl.tip == pytest.approx(li.tip, rel=1e-3)
 
     def test_stiffening_ordering(self, st1_1_measured):
         mesh = build_mesh(st1_1_measured, 20)
         q0 = 0.5  # tip/l around 5 percent
-        nl = solve_nonlinear(mesh, uniform(q0))
-        li = solve_linear(mesh, uniform(q0))
+        nl = solve_nonlinear(mesh, q0)
+        li = solve_linear(mesh, q0)
         assert nl.tip < li.tip
         assert (li.tip - nl.tip) / li.tip > 1e-3  # materially stiffer, not noise
 
@@ -383,27 +379,27 @@ class TestNonlinear:
     def test_tip_displacement_bounded_by_length(self, st1_1_measured):
         mesh = build_mesh(st1_1_measured, 40)
         moment = 2.0 * math.pi * mesh.bending_rigidity / st1_1_measured.length_l
-        for load, kwargs in [(None, {"tip_moment": moment}), (uniform(50.0), {})]:
+        for load, kwargs in [(0.0, {"tip_moment": moment}), (50.0, {})]:
             fld = solve_nonlinear(mesh, load, **kwargs)
             assert abs(fld.tip) < st1_1_measured.length_l
 
     def test_clamped_boundary_exact(self, st1_1_measured):
         mesh = build_mesh(st1_1_measured, 12)
-        fld = solve_nonlinear(mesh, uniform(0.2))
+        fld = solve_nonlinear(mesh, 0.2)
         assert fld.deflection[0] == 0.0
         assert fld.rotation[0] == 0.0
         assert fld.axial[0] == 0.0
 
     def test_axial_strain_near_zero(self, st1_1_measured):
         mesh = build_mesh(st1_1_measured, 20)
-        fld = solve_nonlinear(mesh, uniform(0.5))  # tip/l around 5 percent
+        fld = solve_nonlinear(mesh, 0.5)  # tip/l around 5 percent
         assert fld.tip / st1_1_measured.length_l > 0.04
         assert np.max(np.abs(beam.axial_strains(fld))) < 1e-5
 
     def test_newton_quadratic_tail(self, st1_1_measured):
         mesh = build_mesh(st1_1_measured, 20)
         q0 = 0.5
-        f_ext = beam.consistent_load_vector(mesh, uniform(q0))
+        f_ext = beam.consistent_load_vector(mesh, q0)
         _, history, ok, _ = beam.newton_solve(mesh, f_ext)
         assert ok
         ref = np.linalg.norm(f_ext[3:])
@@ -437,13 +433,13 @@ class TestNonlinear:
     def test_divergence_reported(self, st1_1_measured):
         mesh = build_mesh(st1_1_measured, 8)
         with pytest.raises(ConvergenceError):
-            solve_nonlinear(mesh, uniform(1e9))
+            solve_nonlinear(mesh, 1e9)
 
 
 class TestDeflectionField:
     def test_interpolation_continuity(self, st1_1_measured):
         mesh = build_mesh(st1_1_measured, 10)
-        fld = solve_linear(mesh, uniform(1e-2))
+        fld = solve_linear(mesh, 1e-2)
         nodes = mesh.node_positions
         h = 1e-12 * st1_1_measured.length_l
         for xn in nodes[1:-1]:
@@ -456,12 +452,12 @@ class TestDeflectionField:
 
     def test_nodal_values_reproduced(self, st1_1_measured):
         mesh = build_mesh(st1_1_measured, 10)
-        fld = solve_linear(mesh, uniform(1e-2))
+        fld = solve_linear(mesh, 1e-2)
         assert np.allclose(fld.evaluate(mesh.node_positions), fld.deflection, rtol=1e-12)
 
     def test_fields_are_read_only(self, st1_1_measured):
         mesh = build_mesh(st1_1_measured, 8)
-        fld = solve_linear(mesh, uniform(1e-2))
+        fld = solve_linear(mesh, 1e-2)
         with pytest.raises(ValueError):
             fld.deflection[0] = 1.0
         with pytest.raises(ValueError):
@@ -499,7 +495,7 @@ class TestTransverseLoadOperators:
             return 1e-3 * (1.0 + x / mesh.specimen.length_l) ** 2
 
         assert g.T @ (w * q(xg)) == pytest.approx(
-            beam.consistent_load_vector(mesh, q), rel=1e-12, abs=1e-20
+            beam.consistent_load_vector(mesh, q(xg)), rel=1e-12, abs=1e-20
         )
 
     def test_load_stiffness_is_dense_product(self, st1_1_measured):

@@ -1,4 +1,15 @@
-"""Coupled equilibrium, sweeps and pull-in search."""
+"""Coupled equilibrium, sweeps and pull-in search.
+
+``tests/golden/gap-closure-reasons.json`` holds the failure reasons that
+``TestGapClosureParity`` checks; to record them again from the current tree
+(only where a change of reasons is intended and explained):
+
+    PYTHONPATH=src python tests/test_coupled.py
+"""
+
+import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +32,7 @@ from micropull import (
     solve_nonlinear,
     voltage_sweep,
 )
-from micropull import beam, coupled, electro
+from micropull import beam, builtin_catalog, coupled, electro
 from micropull.coupled import COUPLING_TOLERANCE, MAX_COUPLING_ITERATIONS, _Runner
 
 PLATE = SolverConfig(load_model=LoadModelConfig(kind="parallel_plate"))
@@ -32,6 +43,9 @@ PLATE_F0 = SolverConfig(
     load_model=LoadModelConfig(kind="parallel_plate", fringing_coefficient=0.0)
 )
 FIELD2D_1V = SolverConfig(pull_in_bracket_tolerance=1.0)
+PLATE_MODES = [(m, c) for m in ("linear", "nonlinear") for c in ("staggered", "monolithic")]
+REASONS = Path(__file__).resolve().parent / "golden" / "gap-closure-reasons.json"
+COLD_FACTORS = (1.001, 1.05, 1.5)
 # pulls in far above the default 10 kV search cap
 STIFF = Specimen(
     id="stiff", length_l=50e-6, width_w=15e-6, thickness_t=10e-6,
@@ -89,7 +103,7 @@ class TestEquilibrium:
         assert res.converged
         assert res.deflection.tip < 0.05 * s.gap_g
         one_pass = solve_nonlinear(
-            build_mesh(s, PLATE.n_elements), plate_load(s, None, voltage, 0.65)
+            build_mesh(s, PLATE.n_elements), plate_load(s, s.gap_g, voltage, 0.65)
         )
         assert res.deflection.tip >= one_pass.tip
 
@@ -373,7 +387,7 @@ class TestAitkenRelaxation:
         res = runner.equilibrium(voltage)
         assert res.converged
         again, _ = runner._structural_solve(
-            runner._load_for(res.deflection, voltage), res.deflection
+            runner._load_for(res.deflection.dofs, voltage), res.deflection
         )
         tip = res.deflection.tip
         assert abs(again.tip - tip) <= 5.0 * COUPLING_TOLERANCE * tip
@@ -385,10 +399,11 @@ class TestAitkenRelaxation:
         # load-and-solve pass at the same tip barely moves lam = V^2
         runner = _Runner(st1_1_measured, cfg)
         tip = x * st1_1_measured.gap_g
-        res = runner.at_tip(tip, runner.linear_op.solve(lambda _: 1.0))
+        uniform = beam.consistent_load_vector(runner.mesh, 1.0)
+        res = runner.at_tip(tip, runner.linear_op.solve(uniform))
         assert res.converged
         _, lam = runner._structural_solve(
-            runner._load_for(res.deflection, 1.0), res.deflection, tip
+            runner._load_for(res.deflection.dofs, 1.0), res.deflection, tip
         )
         assert abs(lam - res.voltage**2) <= 5.0 * COUPLING_TOLERANCE * res.voltage**2
 
@@ -597,3 +612,71 @@ class TestDisplacementControl:
         r = find_pull_in(spec, cfg)
         assert solve_equilibrium(spec, r.bracket_low, cfg).converged
         assert not solve_equilibrium(spec, r.bracket_high, cfg).converged
+
+
+def _failure_reasons(spec, cfg, pull_in_v):
+    """Failure reason, None where converged, of each point of a 13-point sweep
+    to 1.3 x ``pull_in_v`` up to its first failure, and of cold starts at
+    COLD_FACTORS x ``pull_in_v``."""
+    sweep = []
+    equilibrium = _Runner.equilibrium
+
+    def recording(self, voltage, start=None):
+        res = equilibrium(self, voltage, start)
+        sweep.append(res.failure_reason)
+        return res
+
+    _Runner.equilibrium = recording
+    try:
+        voltage_sweep(spec, 1.3 * pull_in_v, 13, cfg)
+    finally:
+        _Runner.equilibrium = equilibrium
+    cold = [solve_equilibrium(spec, k * pull_in_v, cfg).failure_reason for k in COLD_FACTORS]
+    return {"sweep": sweep, "cold": cold}
+
+
+class TestGapClosureParity:
+    """Gap closure and the other failure reasons land on the recorded points
+    of catalog plate sweeps past pull-in and of cold starts above it."""
+
+    @pytest.mark.parametrize("mode,coupling", PLATE_MODES)
+    def test_reasons_on_recorded_points(self, catalog, mode, coupling):
+        recorded = json.loads(REASONS.read_text(encoding="utf-8"))
+        got, want = {}, {}
+        for spec in catalog:
+            key = f"{spec.id}/{spec.dimension_source}/{mode}/{coupling}"
+            entry = recorded[key]
+            got[key] = _failure_reasons(spec, _plate_config(mode, coupling), entry["pull_in_V"])
+            want[key] = {"sweep": entry["sweep"], "cold": entry["cold"]}
+        assert got == want
+
+
+class TestOneLoadPath:
+    @pytest.mark.parametrize("mode,coupling", PLATE_MODES)
+    def test_plate_solves_never_evaluate_the_deflection(
+        self, st1_1_measured, monkeypatch, mode, coupling
+    ):
+        # both modes take the plate gaps from one product with the cached
+        # quadrature matrix; the sweep ends in a failed point past pull-in
+        calls = _counting(monkeypatch, beam.DeflectionField, "evaluate")
+        cfg = _plate_config(mode, coupling)
+        find_pull_in(st1_1_measured, cfg)
+        sweep = voltage_sweep(st1_1_measured, 200.0, 8, cfg)
+        assert sweep.pull_in is not None
+        assert calls == []
+        # the field load does sample the deflection at its mesh columns
+        solve_equilibrium(st1_1_measured, 50.0, SolverConfig(structural_mode=mode))
+        assert calls
+
+
+if __name__ == "__main__":
+    record = {}
+    for spec in builtin_catalog():
+        for mode, coupling in PLATE_MODES:
+            cfg = _plate_config(mode, coupling)
+            pull_in_v = find_pull_in(spec, cfg).pull_in_voltage
+            key = f"{spec.id}/{spec.dimension_source}/{mode}/{coupling}"
+            record[key] = {"pull_in_V": pull_in_v, **_failure_reasons(spec, cfg, pull_in_v)}
+            print(key, file=sys.stderr)
+    lines = (f" {json.dumps(key)}: {json.dumps(entry)}" for key, entry in record.items())
+    REASONS.write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8")

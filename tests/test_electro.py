@@ -17,16 +17,40 @@ from micropull import (
     solve_field2d,
 )
 from micropull import electro
-from micropull.beam import build_mesh, consistent_load_vector
+from micropull.beam import DeflectionField, build_mesh
+from micropull.coupled import SolverConfig, _Runner
 from micropull.electro import (
     FACE_PROBE_FRACTION,
     TIP_EXTENSION_GAPS,
     _field_pattern,
     dump_field_csv,
     integrated_face_force,
-    plate_load_on_gap,
-    plate_load_slope_on_gap,
+    plate_load_slope,
 )
+
+PLATE = SolverConfig(load_model=LoadModelConfig(kind="parallel_plate", fringing_coefficient=0.0))
+
+
+def nodal_deflection(spec, v, theta=0.0, n_elements=40):
+    """A DeflectionField with nodal deflections ``v`` and rotations ``theta``."""
+    mesh = build_mesh(spec, n_elements)
+    dofs = np.zeros((mesh.n_nodes, 3))
+    dofs[:, 1], dofs[:, 2] = v, theta
+    return DeflectionField(mesh, dofs.ravel())
+
+
+def bent(spec, bend):
+    """The deflection bend g (x / l)^2, which the cubic elements hold exactly."""
+    xi = np.linspace(0.0, 1.0, 41)  # x / l at the nodes
+    tip = bend * spec.gap_g
+    return nodal_deflection(spec, tip * xi**2, 2.0 * tip * xi / spec.length_l)
+
+
+def at_tip(spec, value):
+    """The deflection ``value`` at the tip node, zero at the other nodes."""
+    v = np.zeros(41)
+    v[-1] = value
+    return nodal_deflection(spec, v)
 
 
 class TestLoadModelConfig:
@@ -52,72 +76,70 @@ class TestLoadModelConfig:
 class TestPlateLoad:
     def test_undeformed_reference_value(self, st1_1_measured):
         s = st1_1_measured
-        q = plate_load(s, None, 100.0, 0.0)
-        x = np.linspace(0.0, s.length_l, 11)
+        q = plate_load(s, np.full(11, s.gap_g), 100.0, 0.0)
         expected = VACUUM_PERMITTIVITY * s.width_w * 100.0**2 / (2.0 * s.gap_g**2)
         assert expected == pytest.approx(2.6562e-2, rel=1e-3)
-        assert np.allclose(q(x), expected, rtol=1e-12)
+        assert q.shape == (11,)
+        assert np.allclose(q, expected, rtol=1e-12)
 
     def test_zero_voltage_zero_load(self, st1_1_measured):
-        q = plate_load(st1_1_measured, None, 0.0, 0.65)
-        assert np.all(q(np.linspace(0, st1_1_measured.length_l, 5)) == 0.0)
+        q = plate_load(st1_1_measured, np.full(5, st1_1_measured.gap_g), 0.0, 0.65)
+        assert np.all(q == 0.0)
 
     def test_fringing_increases_load(self, st1_1_measured):
-        x = np.array([0.5 * st1_1_measured.length_l])
-        q0 = plate_load(st1_1_measured, None, 50.0, 0.0)(x)[0]
-        q1 = plate_load(st1_1_measured, None, 50.0, 0.65)(x)[0]
-        assert q1 > q0
+        g = st1_1_measured.gap_g
+        assert plate_load(st1_1_measured, g, 50.0, 0.65) > plate_load(st1_1_measured, g, 50.0, 0.0)
 
     def test_contact_raises(self, st1_1_measured):
-        g = st1_1_measured.gap_g
+        gap = np.array([st1_1_measured.gap_g, 0.0])
         with pytest.raises(GapClosureError):
-            plate_load(st1_1_measured, lambda x: np.full_like(x, g), 10.0, 0.0)
+            plate_load(st1_1_measured, gap, 10.0, 0.0)
 
     def test_gap_closure_only_near_tip_raises(self, st1_1_measured):
+        # the tip node 2 % past the gap, every quadrature point still short
+        # of it: the tip's gap, which the runner passes too, catches it
         s = st1_1_measured
-        spike = lambda x: 1.2 * s.gap_g * (x / s.length_l) ** 8
+        runner = _Runner(s, PLATE)
+        d = at_tip(s, 1.02 * s.gap_g).dofs
+        assert (runner.load_operators[0] @ d).max() < s.gap_g
         with pytest.raises(GapClosureError):
-            plate_load(s, spike, 10.0, 0.0)
+            runner._load_for(d, 10.0)
 
     @pytest.mark.parametrize("bad", [np.nan, -np.inf])
     def test_non_finite_tip_raises(self, st1_1_measured, bad):
         s = st1_1_measured
-        bad_at_tip = lambda x: np.where(x < s.length_l, 0.0, bad)
         with pytest.raises(GapClosureError):
-            plate_load(s, bad_at_tip, 10.0, 0.0)
+            _Runner(s, PLATE)._load_for(at_tip(s, bad).dofs, 10.0)
 
     def test_non_finite_at_load_points_raises_on_evaluation(self, st1_1_measured):
-        # the tip is open, so the load is built; evaluating it at the
-        # quadrature points meets the NaN before the beam's finiteness check
+        # the tip is open; the load meets the NaN at the quadrature points
+        # and raises before the beam's finiteness check
         s = st1_1_measured
-        nan_inside = lambda x: np.where(x < s.length_l, np.nan, 0.0)
-        q = plate_load(s, nan_inside, 10.0, 0.0)
+        v = np.zeros(41)
+        v[20] = np.nan
         with pytest.raises(GapClosureError):
-            consistent_load_vector(build_mesh(s, 40), q)
+            _Runner(s, PLATE)._load_for(nodal_deflection(s, v).dofs, 10.0)
 
     def test_on_gap_raises_on_nan(self, st1_1_measured):
         gap = np.array([st1_1_measured.gap_g, np.nan])
         with pytest.raises(GapClosureError):
-            plate_load_on_gap(st1_1_measured, gap, 10.0, 0.0)
+            plate_load(st1_1_measured, gap, 10.0, 0.0)
 
     def test_deformed_gap_amplification(self, st1_1_measured):
-        s = st1_1_measured
-        half_gap = lambda x: np.full_like(x, 0.5 * s.gap_g)
-        q_flat = plate_load(s, None, 80.0, 0.0)
-        q_half = plate_load(s, half_gap, 80.0, 0.0)
-        x = np.array([0.3 * s.length_l])
-        assert q_half(x)[0] == pytest.approx(4.0 * q_flat(x)[0], rel=1e-12)
+        g = st1_1_measured.gap_g
+        q_flat = plate_load(st1_1_measured, g, 80.0, 0.0)
+        q_half = plate_load(st1_1_measured, 0.5 * g, 80.0, 0.0)
+        assert q_half == pytest.approx(4.0 * q_flat, rel=1e-12)
 
     def test_derivative_matches_finite_difference(self, st1_1_measured):
         s = st1_1_measured
         v0 = 0.3 * s.gap_g
         dv = 1e-6 * s.gap_g
-        x = np.array([0.5 * s.length_l])
         for f in (0.0, 0.65):
-            qp = plate_load(s, lambda xx: np.full_like(xx, v0 + dv), 70.0, f)(x)[0]
-            qm = plate_load(s, lambda xx: np.full_like(xx, v0 - dv), 70.0, f)(x)[0]
+            qp = plate_load(s, s.gap_g - (v0 + dv), 70.0, f)
+            qm = plate_load(s, s.gap_g - (v0 - dv), 70.0, f)
             fd = (qp - qm) / (2.0 * dv)
-            analytic = plate_load_slope_on_gap(s, s.gap_g - np.array([v0]), 70.0, f)[0]
+            analytic = plate_load_slope(s, s.gap_g - np.array([v0]), 70.0, f)[0]
             assert analytic == pytest.approx(fd, rel=1e-6)
 
 
@@ -180,8 +202,7 @@ class TestField2D:
         # M-matrix and the discrete maximum principle is no theorem here: a
         # property of these meshes, checked up to a nearly closed tip
         s = st1_1_measured
-        shape = lambda x: bend * s.gap_g * (x / s.length_l) ** 2
-        k_ff, fs = captured_kff(s, shape, self.V, cfg, monkeypatch)
+        k_ff, fs = captured_kff(s, bent(s, bend), self.V, cfg, monkeypatch)
         assert sp.triu(k_ff, k=1).max() > 0.0
         slack = 1e-9 * self.V
         assert fs.potential.min() >= -slack
@@ -203,8 +224,7 @@ class TestField2D:
 
     def test_charge_balance_deformed(self, st1_1_measured):
         s = st1_1_measured
-        shape = lambda x: 0.4 * s.gap_g * (x / s.length_l) ** 2
-        fs = solve_field2d(s, shape, self.V, LoadModelConfig())
+        fs = solve_field2d(s, bent(s, 0.4), self.V, LoadModelConfig())
         imbalance = abs(fs.beam_charge_per_depth + fs.counter_charge_per_depth)
         assert imbalance <= 1e-2 * abs(fs.beam_charge_per_depth)
 
@@ -224,35 +244,31 @@ class TestField2D:
     def test_contact_raises(self, st1_1_measured):
         s = st1_1_measured
         with pytest.raises(GapClosureError):
-            solve_field2d(s, lambda x: np.full_like(x, s.gap_g), self.V, LoadModelConfig())
+            solve_field2d(s, nodal_deflection(s, s.gap_g), self.V, LoadModelConfig())
 
     def test_gap_closure_during_coupling_shapes(self, st1_1_measured):
         # a shape exceeding the gap only near the tip must still be caught
         s = st1_1_measured
-        spike = lambda x: 1.2 * s.gap_g * (x / s.length_l) ** 8
         with pytest.raises(GapClosureError):
-            solve_field2d(s, spike, self.V, LoadModelConfig())
+            solve_field2d(s, at_tip(s, 1.02 * s.gap_g), self.V, LoadModelConfig())
 
     @pytest.mark.parametrize("bad", [np.nan, -np.inf])
     def test_non_finite_deflection_raises(self, st1_1_measured, bad):
         s = st1_1_measured
-        bad_at_tip = lambda x: np.where(x < s.length_l, 0.0, bad)
         with pytest.raises(GapClosureError):
-            solve_field2d(s, bad_at_tip, self.V, LoadModelConfig())
+            solve_field2d(s, at_tip(s, bad), self.V, LoadModelConfig())
 
     @pytest.mark.parametrize("depth", [1e8, 1e300])
     def test_degenerate_mesh_raises(self, st1_1_measured, depth):
         # the gap stays open, but g is lost beside the depth: the grid's
         # triangles have no area, and a solve would return NaN
         s = st1_1_measured
-        far_at_tip = lambda x: np.where(x < s.length_l, 0.0, -depth)
         with pytest.raises(ValueError, match="degenerate"):
-            solve_field2d(s, far_at_tip, self.V, LoadModelConfig())
+            solve_field2d(s, at_tip(s, -depth), self.V, LoadModelConfig())
 
     def test_large_open_deflection_stays_finite(self, st1_1_measured):
         s = st1_1_measured
-        far_at_tip = lambda x: np.where(x < s.length_l, 0.0, -1e7)
-        fs = solve_field2d(s, far_at_tip, self.V, LoadModelConfig())
+        fs = solve_field2d(s, at_tip(s, -1e7), self.V, LoadModelConfig())
         assert np.isfinite(fs.potential).all() and np.isfinite(fs.face_field).all()
 
 
@@ -328,8 +344,7 @@ class TestField2DAgainstReference:
     def test_matches_reference(self, st1_1_measured, cfg, extension, bend, monkeypatch):
         monkeypatch.setattr(electro, "TIP_EXTENSION_GAPS", extension)
         s = st1_1_measured
-        shape = lambda x: bend * s.gap_g * (x / s.length_l) ** 2
-        fs = solve_field2d(s, shape, 83.0, cfg)
+        fs = solve_field2d(s, bent(s, bend), 83.0, cfg)
         if extension == 0.0:
             assert fs.grid_x.size == cfg.cells_along_beam + 1
         assert_matches_reference(fs, cfg)
@@ -369,8 +384,7 @@ class TestFieldOrdering:
     @DEFAULT_AND_CRITERION_9_MESHES
     def test_factors_without_pivoting_and_little_fill(self, st1_1_measured, cfg, monkeypatch):
         s = st1_1_measured
-        shape = lambda x: 0.9 * s.gap_g * (x / s.length_l) ** 2
-        k_ff, fs = captured_kff(s, shape, 100.0, cfg, monkeypatch)
+        k_ff, fs = captured_kff(s, bent(s, 0.9), 100.0, cfg, monkeypatch)
         lu = spla.splu(k_ff, permc_spec="NATURAL")
         assert np.array_equal(lu.perm_r, lu.perm_c)  # every pivot on the diagonal
         # against a minimum-degree order of K_ff in increasing node id
@@ -386,39 +400,36 @@ class TestMaxwellLoad:
     def test_matches_plate_load_in_interior(self, st1_1_measured):
         s = st1_1_measured
         fs = solve_field2d(s, None, self.V, LoadModelConfig())
-        q_maxwell = maxwell_load(fs, s)
-        q_plate = plate_load(s, None, self.V, 0.0)
         x = np.linspace(0.0, s.length_l - 3.0 * s.gap_g, 41)
-        assert np.allclose(q_maxwell(x), q_plate(x), rtol=2e-2)
+        q_plate = plate_load(s, s.gap_g, self.V, 0.0)
+        assert np.allclose(maxwell_load(fs, s, x), q_plate, rtol=2e-2)
 
     def test_total_force_agreement_with_plate(self, st1_1_measured):
         s = st1_1_measured
         fs = solve_field2d(s, None, self.V, LoadModelConfig())
         x = np.linspace(0.0, s.length_l, 4001)
-        total_maxwell = np.trapezoid(maxwell_load(fs, s)(x), x)
-        total_plate = np.trapezoid(plate_load(s, None, self.V, 0.0)(x), x)
+        total_maxwell = np.trapezoid(maxwell_load(fs, s, x), x)
+        total_plate = np.trapezoid(plate_load(s, np.full_like(x, s.gap_g), self.V, 0.0), x)
         assert abs(total_maxwell - total_plate) / total_plate < 5e-2
 
     def test_zero_field_zero_load(self, st1_1_measured):
         s = st1_1_measured
         fs = solve_field2d(s, None, 0.0, LoadModelConfig())
-        q = maxwell_load(fs, s)
-        assert np.all(q(np.linspace(0, s.length_l, 7)) == 0.0)
+        assert np.all(maxwell_load(fs, s, np.linspace(0, s.length_l, 7)) == 0.0)
 
     def test_sign_independent_of_voltage(self, st1_1_measured):
         s = st1_1_measured
         x = np.linspace(0, s.length_l, 11)
-        q_pos = maxwell_load(solve_field2d(s, None, +self.V, LoadModelConfig()), s)(x)
-        q_neg = maxwell_load(solve_field2d(s, None, -self.V, LoadModelConfig()), s)(x)
+        q_pos = maxwell_load(solve_field2d(s, None, +self.V, LoadModelConfig()), s, x)
+        q_neg = maxwell_load(solve_field2d(s, None, -self.V, LoadModelConfig()), s, x)
         assert np.all(q_pos >= 0.0)
         assert np.allclose(q_pos, q_neg, rtol=1e-10)
 
     def test_zero_beyond_tip(self, st1_1_measured):
         s = st1_1_measured
         fs = solve_field2d(s, None, self.V, LoadModelConfig())
-        q = maxwell_load(fs, s)
         beyond = np.array([s.length_l * 1.01, s.length_l + s.gap_g])
-        assert np.all(q(beyond) == 0.0)
+        assert np.all(maxwell_load(fs, s, beyond) == 0.0)
 
 
 class TestFieldDump:
