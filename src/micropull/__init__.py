@@ -32,7 +32,6 @@ from .coupled import (
     EquilibriumResult,
     PullInResult,
     SolverConfig,
-    SweepPoint,
     SweepResult,
     find_pull_in,
     modulus_band_sweep,
@@ -73,7 +72,6 @@ __all__ = [
     "SolverConfig",
     "Specimen",
     "SpecimenFormatError",
-    "SweepPoint",
     "SweepResult",
     "VACUUM_PERMITTIVITY",
     "aspect_ratios",

@@ -18,6 +18,7 @@ from typing import Sequence, TextIO
 from . import catalog, electro
 from .analytic import osterberg_pull_in
 from .coupled import (
+    VOLTAGE_CAP,
     SolverConfig,
     SweepResult,
     find_pull_in,
@@ -154,8 +155,8 @@ def _parse_modulus(text: str | None, expect_pair: bool) -> tuple[float, ...] | N
 
 
 def _check_sweep_range(args) -> None:
-    if not (math.isfinite(args.vmax) and args.vmax > 0.0):
-        raise _UsageError(f"--vmax must be positive and finite, got {args.vmax!r}")
+    if not 0.0 < args.vmax <= VOLTAGE_CAP:
+        raise _UsageError(f"--vmax must lie in (0, {VOLTAGE_CAP:.0f}] V, got {args.vmax!r}")
     if args.steps < 2:
         raise _UsageError(f"--steps must be at least 2, got {args.steps}")
 
@@ -301,9 +302,9 @@ def _cmd_analytic(args) -> int:
     return EXIT_OK
 
 
-def _maybe_dump_field(args, spec, cfg: SolverConfig, voltage: float | None, state) -> None:
+def _maybe_dump_field(args, spec, cfg: SolverConfig, voltage: float, state) -> None:
     """Write the potential of the reported equilibrium ``state`` at ``voltage``."""
-    if not args.dump_field or voltage is None:
+    if not args.dump_field:
         return
     solution = electro.solve_field2d(spec, state, voltage, cfg.load_model)
     try:
@@ -320,9 +321,8 @@ def _cmd_sweep(args) -> int:
     result = voltage_sweep(spec, args.vmax, args.steps, cfg)
     _emit(args, lambda sink: emit_sweep_csv(result, sink), _sweep_json_obj(result))
     converged = result.converged_points()
-    _maybe_dump_field(
-        args, spec, cfg, converged[-1].voltage if converged else None, result.last_state
-    )
+    if converged:
+        _maybe_dump_field(args, spec, cfg, converged[-1].voltage, converged[-1].deflection)
     return EXIT_OK
 
 

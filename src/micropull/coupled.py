@@ -58,7 +58,7 @@ _COUPLING_MODES = (STAGGERED, MONOLITHIC)
 # at this relative estimated error of V^2
 COUPLING_TOLERANCE = 1e-6
 MAX_COUPLING_ITERATIONS = 100  # a staggered loop that has not settled by then fails
-VOLTAGE_CAP = 10_000.0  # the pull-in search gives up above this voltage
+VOLTAGE_CAP = 10_000.0  # no solve above this voltage; the pull-in search gives up there
 
 
 @dataclass(frozen=True)
@@ -88,13 +88,18 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class EquilibriumResult:
-    """One point of the displacement-voltage curve."""
+    """One point of the displacement-voltage curve: on failure, the last
+    state short of the counter-electrode and the reason."""
 
-    deflection: beam.DeflectionField
+    deflection: beam.DeflectionField = dataclass_field(compare=False, repr=False)
     converged: bool
     iterations: int
     voltage: float
     failure_reason: str | None = None
+
+    @property
+    def tip_displacement(self) -> float:
+        return self.deflection.tip
 
 
 @dataclass(frozen=True)
@@ -115,23 +120,11 @@ class PullInResult:
 
 
 @dataclass(frozen=True)
-class SweepPoint:
-    voltage: float
-    tip_displacement: float
-    converged: bool
-    iterations: int
-
-
-@dataclass(frozen=True)
 class SweepResult:
-    """Ordered displacement-voltage curve, optionally ending in pull-in,
-    with the deflection at its last converged point."""
+    """Ordered displacement-voltage curve, optionally ending in pull-in."""
 
-    points: tuple[SweepPoint, ...]
+    points: tuple[EquilibriumResult, ...]
     pull_in: PullInResult | None = None
-    last_state: beam.DeflectionField | None = dataclass_field(
-        default=None, compare=False, repr=False
-    )
 
     def __post_init__(self) -> None:
         volts = [p.voltage for p in self.points]
@@ -143,7 +136,7 @@ class SweepResult:
                 raise ValueError("converged sweep points must precede the first failure")
             seen_failure = seen_failure or not p.converged
 
-    def converged_points(self) -> tuple[SweepPoint, ...]:
+    def converged_points(self) -> tuple[EquilibriumResult, ...]:
         return tuple(p for p in self.points if p.converged)
 
 
@@ -171,20 +164,22 @@ class _Runner:
         g_mat = self.load_operators[0]
         return np.vstack([g_mat, np.eye(1, g_mat.shape[1], g_mat.shape[1] - 2)])
 
-    def _plate_gaps(self, d: np.ndarray) -> np.ndarray:
-        """Gaps g - v of the DOF vector ``d`` at the quadrature points, then at the tip."""
-        return self.spec.gap_g - self.gap_rows @ d
+    def _plate_load(self, d: np.ndarray, voltage: float):
+        """Plate load vector of ``voltage`` on the DOF vector ``d``, and the gaps
+        g - v at the quadrature points it was formed from; the tip's gap is
+        checked too."""
+        gaps = self.spec.gap_g - self.gap_rows @ d
+        q = electro.plate_load(self.spec, gaps, voltage, self.cfg.load_model.fringing_coefficient)
+        return beam.consistent_load_vector(self.mesh, q[:-1]), gaps[:-1]
 
     def _load_for(self, d: np.ndarray, voltage: float) -> np.ndarray:
         """Load vector of ``voltage`` on the DOF vector ``d``."""
         lm = self.cfg.load_model
         if lm.kind == electro.PARALLEL_PLATE:
-            gaps = self._plate_gaps(d)
-            q = electro.plate_load(self.spec, gaps, voltage, lm.fringing_coefficient)[:-1]
-        else:
-            fld = beam.DeflectionField(self.mesh, d)
-            solution = electro.solve_field2d(self.spec, fld, voltage, lm)
-            q = electro.maxwell_load(solution, self.spec, self.mesh.gauss_points().ravel())
+            return self._plate_load(d, voltage)[0]
+        fld = beam.DeflectionField(self.mesh, d)
+        solution = electro.solve_field2d(self.spec, fld, voltage, lm)
+        q = electro.maxwell_load(solution, self.spec, self.mesh.gauss_points().ravel())
         return beam.consistent_load_vector(self.mesh, q)
 
     # -- equilibrium -------------------------------------------------------
@@ -284,8 +279,7 @@ class _Runner:
         def load(d: np.ndarray):
             nonlocal evals
             evals += 1
-            f_ext = self._load_for(d, voltage)
-            gaps = self._plate_gaps(d)[:-1]
+            f_ext, gaps = self._plate_load(d, voltage)
             dq_dv = electro.plate_load_slope(self.spec, gaps, voltage, f_coeff)
             return f_ext, stiffness(weights * dq_dv)
 
@@ -310,8 +304,8 @@ def solve_equilibrium(
     spec: Specimen, voltage: float, config: SolverConfig | None = None
 ) -> EquilibriumResult:
     """Coupled equilibrium at a fixed voltage, from a cold start."""
-    if not 0.0 <= voltage < math.inf:
-        raise ValueError(f"voltage must be non-negative and finite (got {voltage})")
+    if not 0.0 <= voltage <= VOLTAGE_CAP:
+        raise ValueError(f"voltage must lie in [0, {VOLTAGE_CAP:.0f}] V (got {voltage})")
     cfg = config or SolverConfig()
     return _Runner(spec, cfg).equilibrium(voltage)
 
@@ -372,7 +366,7 @@ def _pull_in_search(runner: _Runner, cap: float) -> PullInResult:
         if left and v_max - solved[low].voltage <= 0.75 * tol:
             found = solved[low]
             return PullInResult(
-                found.voltage, v_max + 0.25 * tol, v_max, found.deflection.tip,
+                found.voltage, v_max + 0.25 * tol, v_max, found.tip_displacement,
                 deflection=found.deflection,
             )
         # where the parabola drops tol / 2 below the maximum, else bisect
@@ -397,21 +391,22 @@ def voltage_sweep(
     n_steps: int,
     config: SolverConfig | None = None,
 ) -> SweepResult:
-    """Equilibria at n_steps equally spaced voltages up to v_max.
+    """The equilibria at n_steps equally spaced voltages up to v_max (at most
+    ``VOLTAGE_CAP``), one ``EquilibriumResult`` per voltage.
 
     Each point starts from the previous solution scaled by (V_k / V_{k-1})^2,
     or unscaled where that tip would not lie inside the gap; the sweep stops
     at the first non-converged point and, when that happens, adds the
     PullInResult of the search ``find_pull_in`` runs.
     """
-    if not 0.0 < v_max < math.inf:
-        raise ValueError(f"v_max must be positive and finite (got {v_max})")
+    if not 0.0 < v_max <= VOLTAGE_CAP:
+        raise ValueError(f"v_max must lie in (0, {VOLTAGE_CAP:.0f}] V (got {v_max})")
     if n_steps < 2:
         raise ValueError("n_steps must be at least 2")
     cfg = config or SolverConfig()
     runner = _Runner(spec, cfg)
 
-    points: list[SweepPoint] = []
+    points: list[EquilibriumResult] = []
     pull_in: PullInResult | None = None
     # the unloaded beam is the exact equilibrium at 0 V
     last_ok = EquilibriumResult(beam.zero_field(runner.mesh), True, 0, 0.0)
@@ -424,12 +419,12 @@ def voltage_sweep(
             if scaled.tip < spec.gap_g:
                 start = scaled
         res = runner.equilibrium(v, start=start)
-        points.append(SweepPoint(v, res.deflection.tip, res.converged, res.iterations))
+        points.append(res)
         if not res.converged:
             pull_in = _pull_in_search(runner, math.inf)  # the failure shows one exists
             break
         last_ok = res
-    return SweepResult(points=tuple(points), pull_in=pull_in, last_state=last_ok.deflection)
+    return SweepResult(points=tuple(points), pull_in=pull_in)
 
 
 def modulus_band_sweep(

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from micropull import SweepPoint, SweepResult
+from micropull import SweepResult
 from micropull import cli, coupled, electro
 from micropull.cli import EXIT_USAGE, emit_sweep_csv, run
 from micropull.coupled import PullInResult
@@ -24,11 +24,11 @@ def run_cli(capsys, *argv) -> tuple[int, str]:
 
 
 class TestEmitSweepCsv:
-    def test_converged_rows_only(self):
+    def test_converged_rows_only(self, sweep_point):
         result = SweepResult(points=(
-            SweepPoint(10.0, 1.5e-7, True, 3),
-            SweepPoint(20.0, 3.5e-7, True, 4),
-            SweepPoint(30.0, 6.5e-7, True, 5),
+            sweep_point(10.0, 1.5e-7, True, 3),
+            sweep_point(20.0, 3.5e-7, True, 4),
+            sweep_point(30.0, 6.5e-7, True, 5),
         ))
         sink = io.StringIO()
         emit_sweep_csv(result, sink)
@@ -38,9 +38,9 @@ class TestEmitSweepCsv:
         assert not any(line.startswith("#") for line in lines)
         assert lines[1] == "10.0,0.15,true,3"
 
-    def test_pull_in_comment(self):
+    def test_pull_in_comment(self, sweep_point):
         result = SweepResult(
-            points=(SweepPoint(10.0, 1.5e-7, True, 3), SweepPoint(20.0, 0.0, False, 100)),
+            points=(sweep_point(10.0, 1.5e-7, True, 3), sweep_point(20.0, 0.0, False, 100)),
             pull_in=PullInResult(
                 bracket_low=14.9, bracket_high=15.0,
                 pull_in_voltage=14.95, tip_displacement=2e-6,
@@ -52,9 +52,9 @@ class TestEmitSweepCsv:
         assert last.startswith("# pull_in_V=")
         assert float(last.split("=")[1]) == pytest.approx(14.95)
 
-    def test_round_trip(self):
+    def test_round_trip(self, sweep_point):
         points = tuple(
-            SweepPoint(3.7 * (k + 1), 1.234567e-7 * (k + 1) ** 2, True, k + 2)
+            sweep_point(3.7 * (k + 1), 1.234567e-7 * (k + 1) ** 2, True, k + 2)
             for k in range(5)
         )
         sink = io.StringIO()
@@ -298,6 +298,10 @@ class TestExitCodes:
             ("sweep", "--vmax", "nan"),
             ("sweep", "--vmax", "inf"),
             ("sweep", "--vmax", "-5"),
+            ("sweep", "--vmax", "1e200"),
+            ("sweep", "--load", "field2d", "--vmax", "1e200"),
+            ("band", "--vmax", "2e4"),
+            ("band", "--load", "field2d", "--vmax", "1e200"),
             ("sweep", "--vmax", "50", "--steps", "1"),
             ("band", "--vmax", "50", "--E", "150,150"),
             ("band", "--vmax", "50", "--E", "nan,150"),
@@ -365,7 +369,8 @@ _GOOD = {
 _NOT_NUMBERS = st.sampled_from(["", "x", "1,,2", "0x10"])
 _NON_FINITE = st.sampled_from(["nan", "inf", "-inf", "1e400"])
 _BAD = {
-    "--vmax": st.floats(max_value=0.0).map(repr) | _NON_FINITE | _NOT_NUMBERS,
+    "--vmax": st.floats(max_value=0.0).map(repr) | _NON_FINITE | _NOT_NUMBERS
+    | st.floats(min_value=1e4, exclude_min=True).map(repr),  # above the 10 kV cap
     "--steps": st.integers(max_value=1).map(str) | st.sampled_from(["2.5", "1e3"])
     | _NOT_NUMBERS,
     "--fringing": st.floats(max_value=-1e-300).map(repr) | _NON_FINITE | _NOT_NUMBERS,

@@ -20,7 +20,6 @@ from micropull import (
     PullInNotFoundError,
     SolverConfig,
     Specimen,
-    SweepPoint,
     SweepResult,
     build_mesh,
     find_pull_in,
@@ -33,7 +32,7 @@ from micropull import (
     voltage_sweep,
 )
 from micropull import beam, builtin_catalog, coupled, electro
-from micropull.coupled import COUPLING_TOLERANCE, MAX_COUPLING_ITERATIONS, _Runner
+from micropull.coupled import COUPLING_TOLERANCE, MAX_COUPLING_ITERATIONS, VOLTAGE_CAP, _Runner
 
 PLATE = SolverConfig(load_model=LoadModelConfig(kind="parallel_plate"))
 PLATE_MONO = SolverConfig(
@@ -201,12 +200,48 @@ class TestSweep:
         assert not last.converged
         assert 0.0 <= last.tip_displacement < gap
 
-    def test_pull_in_above_search_cap(self):
-        # a sweep that failed has seen pull-in, so the search cap does not apply
-        sweep = voltage_sweep(STIFF, 2e5, 4, PLATE)
-        assert sweep.pull_in is not None
-        assert sweep.converged_points()[-1].voltage <= sweep.pull_in.bracket_low
-        assert sweep.pull_in.bracket_high <= sweep.points[-1].voltage
+    @pytest.mark.parametrize("cfg", [PLATE, PLATE_MONO, SolverConfig()])
+    def test_rejects_voltage_above_cap(self, st1_1_measured, cfg):
+        # the squared voltage of the load overflows from about 1e154 V
+        for v_max in (2e4, 1e200):
+            with pytest.raises(ValueError, match="v_max"):
+                voltage_sweep(st1_1_measured, v_max, 2, cfg)
+            with pytest.raises(ValueError, match="voltage"):
+                solve_equilibrium(st1_1_measured, v_max, cfg)
+
+    def test_sweep_to_the_cap(self):
+        # the cap itself is a valid end voltage, below this pull-in
+        sweep = voltage_sweep(STIFF, VOLTAGE_CAP, 2, PLATE)
+        assert [p.voltage for p in sweep.converged_points()] == [0.5 * VOLTAGE_CAP, VOLTAGE_CAP]
+        assert sweep.pull_in is None
+
+    # the two plate sweep goldens: both end in a failed point above pull-in
+    @pytest.mark.parametrize("mode, coupling, reason", [
+        ("nonlinear", "staggered", "gap closure"), ("linear", "monolithic", "newton divergence"),
+    ])
+    def test_rows_are_the_solved_equilibria(
+        self, st1_1_measured, monkeypatch, mode, coupling, reason
+    ):
+        solved = []
+        equilibrium = _Runner.equilibrium
+
+        def recording(self, voltage, start=None):
+            solved.append(equilibrium(self, voltage, start))
+            return solved[-1]
+
+        monkeypatch.setattr(_Runner, "equilibrium", recording)
+        cfg = _plate_config(mode, coupling)
+        sweep = voltage_sweep(st1_1_measured, 200.0, 8, cfg)
+        assert len(sweep.points) == len(solved) == 8
+        for k, p in enumerate(sweep.points):
+            assert p is solved[k]
+            assert p.voltage == 25.0 * (k + 1)
+            assert (p.failure_reason is None) == p.converged
+        last = sweep.points[-1]
+        assert last.failure_reason == reason
+        assert 0.0 < last.tip_displacement < st1_1_measured.gap_g
+        assert last.tip_displacement == last.deflection.tip
+        assert voltage_sweep(st1_1_measured, 200.0, 8, cfg) == sweep
 
     def test_validation(self, st1_1_measured):
         for v_max in (0.0, float("nan"), float("inf")):
@@ -215,14 +250,14 @@ class TestSweep:
         with pytest.raises(ValueError, match="n_steps"):
             voltage_sweep(st1_1_measured, 10.0, 1, PLATE)
 
-    def test_result_invariants_enforced(self):
+    def test_result_invariants_enforced(self, sweep_point):
         with pytest.raises(ValueError, match="increasing"):
             SweepResult(points=(
-                SweepPoint(2.0, 0.0, True, 1), SweepPoint(1.0, 0.0, True, 1),
+                sweep_point(2.0, 0.0, True, 1), sweep_point(1.0, 0.0, True, 1),
             ))
         with pytest.raises(ValueError, match="precede"):
             SweepResult(points=(
-                SweepPoint(1.0, 0.0, False, 1), SweepPoint(2.0, 0.0, True, 1),
+                sweep_point(1.0, 0.0, False, 1), sweep_point(2.0, 0.0, True, 1),
             ))
 
 
