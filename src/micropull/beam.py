@@ -29,7 +29,6 @@ axis) as the beam deforms.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -40,8 +39,6 @@ from scipy.linalg.lapack import get_lapack_funcs
 
 from .catalog import Specimen
 from .errors import ConvergenceError
-
-logger = logging.getLogger(__name__)
 
 MIN_ELEMENTS = 4
 NEWTON_ITERATIONS = 30  # a Newton solve fails after this many steps
@@ -443,11 +440,13 @@ def newton_solve(
         res[:3] = 0.0
         rn = float(np.linalg.norm(res))
         history.append(rn)
+        if not np.isfinite(rn):  # an overflowing residual would pass an overflowing floor
+            return d, history, False, lam
         tip_gap = None if tip is None else tip - d[-2]
         floor = 1e-10 * max(float(np.linalg.norm(f_lam[3:])), 1e-30) + noise
         if rn <= floor and (tip_gap is None or abs(tip_gap) <= 1e-12 * abs(tip)):
             return d, history, True, lam
-        if it == NEWTON_ITERATIONS or not np.isfinite(rn) or max_local > _MAX_LOCAL_ROTATION:
+        if it == NEWTON_ITERATIONS or max_local > _MAX_LOCAL_ROTATION:
             return d, history, False, lam
         jac = k_t if load_at is None else k_t - lam * k_load
         try:
@@ -492,8 +491,6 @@ def solve_nonlinear(
             if not ok:
                 break
         if ok:
-            if n_inc > 1:
-                logger.debug("nonlinear solve needed %d load increments", n_inc)
             return DeflectionField(mesh, d)
         n_inc *= 2
     raise ConvergenceError(

@@ -32,9 +32,7 @@ start.
 
 from __future__ import annotations
 
-import logging
 import math
-import time
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
 
@@ -43,8 +41,6 @@ import numpy as np
 from . import beam, electro
 from .catalog import Specimen
 from .errors import ConvergenceError, GapClosureError, PullInNotFoundError
-
-logger = logging.getLogger(__name__)
 
 LINEAR = "linear"
 NONLINEAR = "nonlinear"
@@ -88,8 +84,8 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class EquilibriumResult:
-    """One point of the displacement-voltage curve: on failure, the last
-    state short of the counter-electrode and the reason."""
+    """One point of the displacement-voltage curve: on failure, the state
+    the solve started from and the reason."""
 
     deflection: beam.DeflectionField = dataclass_field(compare=False, repr=False)
     converged: bool
@@ -185,19 +181,14 @@ class _Runner:
     # -- equilibrium -------------------------------------------------------
 
     def equilibrium(
-        self, voltage: float, start: beam.DeflectionField | None = None
+        self, voltage: float, start: beam.DeflectionField | None = None, tip: float | None = None
     ) -> EquilibriumResult:
-        started = time.perf_counter()
-        result = self._solve(voltage, start if start is not None else beam.zero_field(self.mesh))
-        logger.debug(
-            "equilibrium V=%.4f: converged=%s iters=%d (%.1f ms)",
-            voltage, result.converged, result.iterations,
-            1e3 * (time.perf_counter() - started),
-        )
-        return result
-
-    def _solve(self, voltage: float, start: beam.DeflectionField, tip: float | None = None):
-        """``_staggered`` or ``_monolithic``, as the coupling mode selects."""
+        """Equilibrium at ``voltage`` from ``start`` (undeformed if None), or at
+        a prescribed ``tip``, V = voltage sqrt(lam) unknown, ``start`` scaled to it."""
+        if start is None:
+            start = beam.zero_field(self.mesh)
+        elif tip is not None and start.tip > 0.0:
+            start = beam.DeflectionField(self.mesh, start.dofs * (tip / start.tip))
         solve = self._staggered if self.cfg.coupling_mode == STAGGERED else self._monolithic
         return solve(voltage, start, tip)
 
@@ -219,8 +210,9 @@ class _Runner:
         self, voltage: float, start: beam.DeflectionField, tip: float | None = None
     ) -> EquilibriumResult:
         """Load and structural solves until the tip settles, or with ``tip``
-        pinned under lam times the load of ``voltage`` until lam settles."""
-        fld = prev = start  # prev: the iterate before fld, short of the electrode
+        pinned under lam times the load of ``voltage`` until lam settles; a
+        failure reports ``start``."""
+        fld = start
         omega = 1.0
         floor = 1e-12 * self.spec.gap_g
         settled = fld.tip if tip is None else math.inf
@@ -232,11 +224,9 @@ class _Runner:
                 f_ext = self._load_for(fld.dofs, voltage)
                 solved, lam = self._structural_solve(f_ext, fld, tip)
             except GapClosureError:
-                # fld reaches through the counter-electrode; report the
-                # last iterate whose load evaluation succeeded
-                return EquilibriumResult(prev, False, it, voltage, "gap closure")
+                return EquilibriumResult(start, False, it, voltage, "gap closure")
             except ConvergenceError:
-                return EquilibriumResult(fld, False, it, voltage, "structural divergence")
+                return EquilibriumResult(start, False, it, voltage, "structural divergence")
             # Aitken dynamic relaxation on the transverse residual, floored
             # at 1: the plain map climbs monotonically to the stable
             # branch, so Aitken may extrapolate but never damp
@@ -260,10 +250,10 @@ class _Runner:
             if est <= COUPLING_TOLERANCE * max(abs(now), floor):
                 found = voltage if tip is None else voltage * math.sqrt(lam)
                 return EquilibriumResult(relaxed, True, it, found)
-            prev, fld = fld, relaxed
+            fld = relaxed
             settled, step_prev = now, step
         return EquilibriumResult(
-            fld, False, MAX_COUPLING_ITERATIONS, voltage, "max coupling iterations"
+            start, False, MAX_COUPLING_ITERATIONS, voltage, "max coupling iterations"
         )
 
     def _monolithic(
@@ -292,12 +282,6 @@ class _Runner:
             return EquilibriumResult(start, False, evals, voltage, "newton divergence")
         found = voltage if tip is None else voltage * math.sqrt(max(lam, 0.0))
         return EquilibriumResult(beam.DeflectionField(self.mesh, d), True, evals, found)
-
-    def at_tip(self, tip: float, start: beam.DeflectionField) -> EquilibriumResult:
-        """Equilibrium at a prescribed tip, V unknown; ``start`` is scaled to it."""
-        if start.tip > 0.0:
-            start = beam.DeflectionField(self.mesh, start.dofs * (tip / start.tip))
-        return self._solve(1.0, start, tip)
 
 
 def solve_equilibrium(
@@ -330,7 +314,7 @@ def _pull_in_search(runner: _Runner, cap: float) -> PullInResult:
             start = runner.linear_op.solve(beam.consistent_load_vector(runner.mesh, 1.0))
         else:
             start = solved[near].deflection
-        res = runner.at_tip(x * spec.gap_g, start)
+        res = runner.equilibrium(1.0, start, x * spec.gap_g)
         if not res.converged or res.voltage > cap:
             raise PullInNotFoundError(
                 f"no pull-in found for {spec.id} ({spec.dimension_source}) below "

@@ -24,8 +24,6 @@ principle is not guaranteed; it is a property the tests check on bent beams.
 from __future__ import annotations
 
 import itertools
-import logging
-import time
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TextIO
@@ -38,8 +36,6 @@ from .beam import DeflectionField
 from .catalog import Specimen
 from .constants import VACUUM_PERMITTIVITY
 from .errors import GapClosureError
-
-logger = logging.getLogger(__name__)
 
 PARALLEL_PLATE = "parallel_plate"
 FIELD_2D = "field2d"
@@ -271,7 +267,6 @@ def solve_field2d(
     from the gap that the mesh has triangles of no area.
     """
     cfg = config or LoadModelConfig()
-    started = time.perf_counter()
 
     l = spec.length_l
     g = spec.gap_g
@@ -348,10 +343,6 @@ def solve_field2d(
     for arr in (x, y, phi_grid, face_x, face_field):
         arr.setflags(write=False)
 
-    logger.debug(
-        "field2d solve: %d x %d cells, V=%.3f, %.1f ms",
-        nx, ny, voltage, 1e3 * (time.perf_counter() - started),
-    )
     return FieldSolution(
         voltage=voltage,
         grid_x=x,
@@ -378,8 +369,7 @@ def maxwell_load(field: FieldSolution, spec: Specimen, x) -> np.ndarray:
 
 def integrated_face_force(field: FieldSolution, spec: Specimen) -> float:
     """Total attractive force per beam (N): trapezoid of the face pressure."""
-    q = 0.5 * VACUUM_PERMITTIVITY * spec.width_w * field.face_field**2
-    return float(np.trapezoid(q, field.face_x))
+    return float(np.trapezoid(maxwell_load(field, spec, field.face_x), field.face_x))
 
 
 def dump_field_csv(field: FieldSolution, sink: TextIO) -> None:

@@ -435,6 +435,15 @@ class TestNonlinear:
         with pytest.raises(ConvergenceError):
             solve_nonlinear(mesh, 1e9)
 
+    def test_overflowing_load_reported(self, st1_1_measured):
+        # the residual norm overflows, and so did its acceptance floor: the
+        # unloaded beam came back as the solution
+        mesh = build_mesh(st1_1_measured, 40)
+        with pytest.raises(ConvergenceError):
+            solve_nonlinear(mesh, 1e200)
+        _, _, ok, _ = beam.newton_solve(mesh, beam.consistent_load_vector(mesh, 1e160))
+        assert not ok
+
 
 class TestDeflectionField:
     def test_interpolation_continuity(self, st1_1_measured):

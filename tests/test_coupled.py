@@ -141,8 +141,9 @@ class TestEquilibrium:
         assert not res.converged
         assert res.failure_reason in ("gap closure", "max coupling iterations",
                                       "structural divergence")
-        # the reported state is short of the counter-electrode
+        # the reported state is its start
         assert 0.0 <= res.deflection.tip < st1_1_measured.gap_g
+        assert res.deflection.tip == 0.0
 
 
 class TestSweep:
@@ -215,9 +216,11 @@ class TestSweep:
         assert [p.voltage for p in sweep.converged_points()] == [0.5 * VOLTAGE_CAP, VOLTAGE_CAP]
         assert sweep.pull_in is None
 
-    # the two plate sweep goldens: both end in a failed point above pull-in
+    # the plate sweep goldens (nonlinear staggered, linear monolithic): each
+    # plate mode ends in a failed point above pull-in
     @pytest.mark.parametrize("mode, coupling, reason", [
         ("nonlinear", "staggered", "gap closure"), ("linear", "monolithic", "newton divergence"),
+        ("linear", "staggered", "gap closure"), ("nonlinear", "monolithic", "newton divergence"),
     ])
     def test_rows_are_the_solved_equilibria(
         self, st1_1_measured, monkeypatch, mode, coupling, reason
@@ -225,9 +228,11 @@ class TestSweep:
         solved = []
         equilibrium = _Runner.equilibrium
 
-        def recording(self, voltage, start=None):
-            solved.append(equilibrium(self, voltage, start))
-            return solved[-1]
+        def recording(self, voltage, start=None, tip=None):
+            res = equilibrium(self, voltage, start, tip)
+            if tip is None:  # not a solve of the pull-in search
+                solved.append(res)
+            return res
 
         monkeypatch.setattr(_Runner, "equilibrium", recording)
         cfg = _plate_config(mode, coupling)
@@ -241,7 +246,37 @@ class TestSweep:
         assert last.failure_reason == reason
         assert 0.0 < last.tip_displacement < st1_1_measured.gap_g
         assert last.tip_displacement == last.deflection.tip
+        # the failed point reports its start: the 175 V state scaled by (200 / 175)^2
+        before = sweep.points[-2]
+        assert before.voltage == 175.0
+        assert np.array_equal(last.deflection.dofs, before.deflection.dofs * (200.0 / 175.0) ** 2)
         assert voltage_sweep(st1_1_measured, 200.0, 8, cfg) == sweep
+
+    @pytest.mark.parametrize("mode", ["linear", "nonlinear"])
+    def test_failed_rows_agree_across_couplings(self, st1_1_measured, mode):
+        # the staggered loop reported its last iterate short of the electrode:
+        # 3.908 um against 2.354 um monolithic (nonlinear)
+        stag, mono = (
+            voltage_sweep(st1_1_measured, 200.0, 8, _plate_config(mode, c)).points[-1]
+            for c in ("staggered", "monolithic")
+        )
+        assert not stag.converged and not mono.converged
+        assert stag.voltage == mono.voltage == 200.0
+        assert stag.tip_displacement == pytest.approx(mono.tip_displacement, rel=1e-5)
+
+    @pytest.mark.parametrize("mode,coupling", PLATE_MODES)
+    def test_overflowing_load_fails_the_first_point(self, st1_1_measured, mode, coupling):
+        # the squared residual norm overflowed, and so did its acceptance
+        # floor: the unloaded beam came back converged at 0 um
+        cfg = SolverConfig(
+            structural_mode=mode,
+            load_model=LoadModelConfig(kind="parallel_plate", fringing_coefficient=1e308),
+            coupling_mode=coupling,
+        )
+        sweep = voltage_sweep(st1_1_measured, 200.0, 2, cfg)
+        assert not sweep.points[0].converged
+        assert sweep.pull_in is not None
+        assert sweep.pull_in.pull_in_voltage < 1e-150
 
     def test_validation(self, st1_1_measured):
         for v_max in (0.0, float("nan"), float("inf")):
@@ -435,7 +470,7 @@ class TestAitkenRelaxation:
         runner = _Runner(st1_1_measured, cfg)
         tip = x * st1_1_measured.gap_g
         uniform = beam.consistent_load_vector(runner.mesh, 1.0)
-        res = runner.at_tip(tip, runner.linear_op.solve(uniform))
+        res = runner.equilibrium(1.0, runner.linear_op.solve(uniform), tip)
         assert res.converged
         _, lam = runner._structural_solve(
             runner._load_for(res.deflection.dofs, 1.0), res.deflection, tip
@@ -575,7 +610,7 @@ class TestDisplacementControl:
         start = plate_pull_in.deflection
         volts = []
         for x in np.linspace(0.40, 0.52, 25):
-            res = runner.at_tip(x * gap, start)
+            res = runner.equilibrium(1.0, start, x * gap)
             assert res.converged
             volts.append(res.voltage)
         assert max(volts) < plate_pull_in.bracket_high
@@ -656,9 +691,10 @@ def _failure_reasons(spec, cfg, pull_in_v):
     sweep = []
     equilibrium = _Runner.equilibrium
 
-    def recording(self, voltage, start=None):
-        res = equilibrium(self, voltage, start)
-        sweep.append(res.failure_reason)
+    def recording(self, voltage, start=None, tip=None):
+        res = equilibrium(self, voltage, start, tip)
+        if tip is None:  # not a solve of the pull-in search
+            sweep.append(res.failure_reason)
         return res
 
     _Runner.equilibrium = recording
