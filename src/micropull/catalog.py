@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping
 
 from .errors import SpecimenFormatError
@@ -55,9 +55,7 @@ class Specimen:
 
     Lengths are metres: ``length_l`` along the beam, ``width_w`` out of
     plane, ``thickness_t`` in the bending direction, ``gap_g`` the
-    undeformed electrode separation.  ``tolerances`` carries optional
-    measurement ranges (metres, keyed by field name) as metadata only;
-    solvers consume the central values.
+    undeformed electrode separation.
     """
 
     id: str
@@ -67,7 +65,6 @@ class Specimen:
     gap_g: float
     material: Material
     dimension_source: str
-    tolerances: Mapping[str, float] | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("length_l", "width_w", "thickness_t", "gap_g"):
@@ -136,7 +133,9 @@ _NOMINAL_UM = (
     ("ST1-8", 800.0, 15.0, 2.0, 400.0),
 )
 
-# (id, l, tol_l, t, tol_t, g, tol_g) in micrometres, profilometer values.
+# (id, l, tol_l, t, tol_t, g, tol_g) in micrometres, profilometer values.  A
+# specimen takes the central values; the tolerance columns are the only record
+# of the measured ranges.
 # Width was process-imposed at 15 um and carries no tolerance of its own.
 _MEASURED_UM = (
     ("ST1-1", 101.0, 0.1, 1.8, 0.02, 5.0, 0.3),
@@ -172,7 +171,7 @@ def specimen_record(spec: Specimen) -> dict:
     }
 
 
-def _from_record(rec: Mapping, tolerances: Mapping[str, float] | None = None) -> Specimen:
+def _from_record(rec: Mapping) -> Specimen:
     """The Specimen of a file record; raises TypeError or ValueError on bad values.
 
     Text fields must be strings and the others numbers; a boolean is no number
@@ -192,7 +191,6 @@ def _from_record(rec: Mapping, tolerances: Mapping[str, float] | None = None) ->
         **{attr: float(rec[name]) * _UM for name, attr in _LENGTHS.items()},
         material=material,
         dimension_source=rec["dimension_source"],
-        tolerances=tolerances,
     )
 
 
@@ -203,11 +201,10 @@ def builtin_catalog() -> list[Specimen]:
         # row: id and the four lengths; all are epitaxial polysilicon
         return dict(zip(_RECORD_FIELDS, (*row, 166.0, 0.23, source)))
 
-    specimens = [_from_record(record(row, NOMINAL)) for row in _NOMINAL_UM]
-    for sid, l, tol_l, t, tol_t, g, tol_g in _MEASURED_UM:
-        tolerances = {"length_l": tol_l * _UM, "thickness_t": tol_t * _UM, "gap_g": tol_g * _UM}
-        specimens.append(_from_record(record((sid, l, 15.0, t, g), MEASURED), tolerances))
-    return specimens
+    measured = [(sid, l, 15.0, t, g) for sid, l, _, t, _, g, _ in _MEASURED_UM]
+    return [_from_record(record(row, NOMINAL)) for row in _NOMINAL_UM] + [
+        _from_record(record(row, MEASURED)) for row in measured
+    ]
 
 
 def aspect_ratios(spec: Specimen) -> AspectRatios:
@@ -252,9 +249,7 @@ def select_specimen(
 def load_specimens(path: str) -> list[Specimen]:
     """Parse a specimen file (JSON, micrometre/GPa units) into Specimen values.
 
-    The file has no tolerance fields, so every loaded specimen has
-    ``tolerances=None``.  Raises SpecimenFormatError with the offending entry
-    and field named.
+    Raises SpecimenFormatError with the offending entry and field named.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -288,11 +283,7 @@ def load_specimens(path: str) -> list[Specimen]:
 
 
 def save_specimens(path: str, specimens: Iterable[Specimen]) -> None:
-    """Write specimens in the file format accepted by load_specimens.
-
-    ``Specimen.tolerances`` is not written: the format has no field for it, so
-    a save/load round trip keeps every other field and drops the tolerances.
-    """
+    """Write specimens in the file format accepted by load_specimens."""
     doc = {"specimens": [specimen_record(s) for s in specimens]}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)

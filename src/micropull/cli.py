@@ -76,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "--coupling", choices=("staggered", "monolithic"), default="staggered"
         )
         p.add_argument("--fringing", type=float, metavar="F",
-                       default=electro.LoadModelConfig.fringing_coefficient)
+                       help="fringing coefficient of the plate load (--load plate only)")
         p.add_argument("--E", dest="modulus", metavar="GPA[,GPA]",
                        help="override Young's modulus; a pair selects a band")
         p.add_argument("--dump-field", dest="dump_field", metavar="PATH",
@@ -165,12 +165,13 @@ def _solver_config(args) -> SolverConfig:
     kind = electro.PARALLEL_PLATE if args.load == "plate" else electro.FIELD_2D
     if args.dump_field and kind != electro.FIELD_2D:
         raise _UsageError("--dump-field requires --load field2d")
+    if args.fringing is not None and kind != electro.PARALLEL_PLATE:
+        raise _UsageError("--fringing requires --load plate")
+    fringing = {} if args.fringing is None else {"fringing_coefficient": args.fringing}
     try:
         return SolverConfig(
             structural_mode=args.model,
-            load_model=electro.LoadModelConfig(
-                kind=kind, fringing_coefficient=args.fringing
-            ),
+            load_model=electro.LoadModelConfig(kind=kind, **fringing),
             coupling_mode=args.coupling,
         )
     except ValueError as exc:

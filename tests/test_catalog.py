@@ -79,10 +79,13 @@ class TestBuiltinCatalog:
             assert s.material.young_modulus == pytest.approx(166e9)
             assert s.material.poisson_ratio == pytest.approx(0.23)
 
-    def test_measured_entries_carry_tolerances(self, catalog):
-        measured = select_specimen(catalog, "ST1-1", "measured")
-        assert measured.tolerances is not None
-        assert measured.tolerances["thickness_t"] == pytest.approx(0.02 * UM)
+    def test_st1_1_measured_dimensions(self, catalog):
+        # the central profilometer values; the width is the process value
+        s = select_specimen(catalog, "ST1-1", "measured")
+        assert s.length_l == pytest.approx(101 * UM)
+        assert s.width_w == pytest.approx(15 * UM)
+        assert s.thickness_t == pytest.approx(1.8 * UM)
+        assert s.gap_g == pytest.approx(5 * UM)
 
 
 class TestAspectRatios:
@@ -217,20 +220,17 @@ class TestInvariants:
 
 
 class TestFileIO:
-    def test_round_trip_keeps_all_but_tolerances(self, catalog, tmp_path):
-        # the file format has no tolerance fields; adding them is a format change
+    def test_round_trip_keeps_every_field(self, catalog, tmp_path):
         path = tmp_path / "specimens.json"
         save_specimens(str(path), catalog)
         loaded = load_specimens(str(path))
         assert loaded == catalog
-        kept = [f.name for f in dataclasses.fields(Specimen) if f.name != "tolerances"]
-        assert kept == [
+        names = [f.name for f in dataclasses.fields(Specimen)]
+        assert names == [
             "id", "length_l", "width_w", "thickness_t", "gap_g", "material", "dimension_source",
         ]
         for before, after in zip(catalog, loaded, strict=True):
-            assert [getattr(after, f) for f in kept] == [getattr(before, f) for f in kept]
-            assert after.tolerances is None
-        assert any(s.tolerances for s in catalog)
+            assert [getattr(after, f) for f in names] == [getattr(before, f) for f in names]
 
     @pytest.mark.parametrize("name,value,kind", [
         *[(name, flag, "number") for name in NUMERIC_FIELDS for flag in (True, False)],

@@ -8,7 +8,9 @@
 """
 
 import json
+import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -385,6 +387,51 @@ class TestModulusBand:
     def test_validation(self, st1_1_measured):
         with pytest.raises(ValueError, match="moduli"):
             modulus_band_sweep(st1_1_measured, 166e9, 150e9, 100.0, 5, PLATE)
+
+
+def _similar(spec, law, k):
+    """The specimen under one similarity law, with the factor its pull-in
+    voltage scales by."""
+    if law == "E":
+        return spec.with_young_modulus(k * spec.material.young_modulus), math.sqrt(k)
+    if law == "s":
+        lengths = ("length_l", "width_w", "thickness_t", "gap_g")
+        return replace(spec, **{name: k * getattr(spec, name) for name in lengths}), k
+    return replace(spec, thickness_t=k * spec.thickness_t), k**1.5
+
+
+_SIMILARITY_MODELS = {
+    **{f"plate-{m}-{c}": _plate_config(m, c) for m, c in PLATE_MODES},
+    **{f"field2d-{m}": SolverConfig(structural_mode=m) for m in ("linear", "nonlinear")},
+}
+# V ∝ √E and V ∝ s in every model; V ∝ t^{3/2} in the linear beam only, as the
+# nonlinear one couples bending (stiffness ∝ t³) to stretching (∝ t)
+_SIMILARITY_CASES = [
+    *[(law, k, name) for law, ks in (("E", (0.5, 2.0)), ("s", (0.5, 3.0)))
+      for k in ks for name in _SIMILARITY_MODELS],
+    *[("t", k, name) for k in (0.8, 1.25)
+      for name, cfg in _SIMILARITY_MODELS.items() if cfg.structural_mode == "linear"],
+]
+
+
+@pytest.fixture(scope="module")
+def reference_pull_ins(st1_1_measured):
+    return {name: find_pull_in(st1_1_measured, cfg) for name, cfg in _SIMILARITY_MODELS.items()}
+
+
+class TestSimilarityLaws:
+    """With the bracket tolerance scaled like V, the discrete model keeps the
+    similarity laws of the continuum one; a failure points to a hidden absolute
+    tolerance or floor."""
+
+    @pytest.mark.parametrize("law,k,name", _SIMILARITY_CASES)
+    def test_pull_in_scales(self, st1_1_measured, reference_pull_ins, law, k, name):
+        spec, v_scale = _similar(st1_1_measured, law, k)
+        cfg = _SIMILARITY_MODELS[name]
+        cfg = replace(cfg, pull_in_bracket_tolerance=v_scale * cfg.pull_in_bracket_tolerance)
+        ref, got = reference_pull_ins[name], find_pull_in(spec, cfg)
+        for attr in ("bracket_low", "pull_in_voltage", "bracket_high"):
+            assert getattr(got, attr) == pytest.approx(v_scale * getattr(ref, attr), rel=1e-9)
 
 
 @pytest.fixture(scope="module")
