@@ -40,7 +40,7 @@ import numpy as np
 
 from . import beam, electro
 from .catalog import Specimen
-from .errors import ConvergenceError, GapClosureError, PullInNotFoundError
+from .errors import GapClosureError, PullInNotFoundError
 
 LINEAR = "linear"
 NONLINEAR = "nonlinear"
@@ -148,16 +148,12 @@ class _Runner:
     def linear_op(self) -> beam.LinearBeamOperator:
         return beam.LinearBeamOperator(self.mesh)
 
-    @cached_property
-    def load_operators(self):
-        return beam.transverse_load_operators(self.mesh)
-
     # -- load construction -------------------------------------------------
 
     @cached_property
     def gap_rows(self) -> np.ndarray:
-        """G of ``load_operators``, then a row that picks the tip deflection."""
-        g_mat = self.load_operators[0]
+        """G of ``beam.transverse_load_operators``, then a row that picks the tip deflection."""
+        g_mat = beam.transverse_load_operators(self.mesh)[0]
         return np.vstack([g_mat, np.eye(1, g_mat.shape[1], g_mat.shape[1] - 2)])
 
     def _plate_load(self, d: np.ndarray, voltage: float):
@@ -190,57 +186,53 @@ class _Runner:
         elif tip is not None and start.tip > 0.0:
             start = beam.DeflectionField(self.mesh, start.dofs * (tip / start.tip))
         solve = self._staggered if self.cfg.coupling_mode == STAGGERED else self._monolithic
-        return solve(voltage, start, tip)
+        dofs, lam, iterations, reason = solve(voltage, start.dofs, tip)
+        if reason is not None:
+            return EquilibriumResult(start, False, iterations, voltage, reason)
+        found = voltage * math.sqrt(max(lam, 0.0))  # lam is 1 at a voltage
+        return EquilibriumResult(beam.DeflectionField(self.mesh, dofs), True, iterations, found)
 
-    def _structural_solve(
-        self, f_ext: np.ndarray, warm: beam.DeflectionField, tip: float | None = None
-    ):
+    def _structural_solve(self, f_ext: np.ndarray, warm: np.ndarray, tip: float | None = None):
         """Solve under the load vector ``f_ext``, or with ``tip`` under lam times
-        it with the tip pinned; returns (field, lam)."""
+        it with the tip pinned, from the DOF vector ``warm``; returns (dofs,
+        lam), dofs None if the Newton solve diverges."""
         if self.cfg.structural_mode == LINEAR:
             solved = self.linear_op.solve(f_ext)
             lam = 1.0 if tip is None else tip / solved.tip
-            return beam.DeflectionField(self.mesh, lam * solved.dofs), lam
-        d, _, ok, lam = beam.newton_solve(self.mesh, f_ext, start=warm.dofs, tip=tip)
-        if not ok:
-            raise ConvergenceError("structural Newton solve did not converge")
-        return beam.DeflectionField(self.mesh, d), lam
+            return lam * solved.dofs, lam
+        d, _, ok, lam = beam.newton_solve(self.mesh, f_ext, start=warm, tip=tip)
+        return (d if ok else None), lam
 
-    def _staggered(
-        self, voltage: float, start: beam.DeflectionField, tip: float | None = None
-    ) -> EquilibriumResult:
-        """Load and structural solves until the tip settles, or with ``tip``
-        pinned under lam times the load of ``voltage`` until lam settles; a
-        failure reports ``start``."""
-        fld = start
+    def _staggered(self, voltage: float, d: np.ndarray, tip: float | None = None):
+        """Load and structural solves from the DOF vector ``d`` until the tip
+        settles, or with ``tip`` pinned under lam times the load of ``voltage``
+        until lam settles; returns (dofs, lam, iterations, failure reason)."""
         omega = 1.0
         floor = 1e-12 * self.spec.gap_g
-        settled = fld.tip if tip is None else math.inf
+        settled = float(d[-2]) if tip is None else math.inf
         step_prev = math.inf
         r_prev: np.ndarray | None = None
 
         for it in range(1, MAX_COUPLING_ITERATIONS + 1):
             try:
-                f_ext = self._load_for(fld.dofs, voltage)
-                solved, lam = self._structural_solve(f_ext, fld, tip)
+                f_ext = self._load_for(d, voltage)
             except GapClosureError:
-                return EquilibriumResult(start, False, it, voltage, "gap closure")
-            except ConvergenceError:
-                return EquilibriumResult(start, False, it, voltage, "structural divergence")
+                return None, math.nan, it, "gap closure"
+            solved, lam = self._structural_solve(f_ext, d, tip)
+            if solved is None:
+                return None, math.nan, it, "structural divergence"
             # Aitken dynamic relaxation on the transverse residual, floored
             # at 1: the plain map climbs monotonically to the stable
             # branch, so Aitken may extrapolate but never damp
-            r = solved.deflection - fld.deflection
+            r = solved[1::3] - d[1::3]
             if r_prev is not None:
                 dr = r - r_prev
                 dr_sq = float(dr @ dr)
                 if dr_sq > 0.0:
                     omega = max(1.0, -omega * float(r_prev @ dr) / dr_sq)
             r_prev = r
-            relaxed = beam.DeflectionField(
-                self.mesh, fld.dofs + omega * (solved.dofs - fld.dofs)
-            )
-            now = relaxed.tip if tip is None else lam
+            d = d + omega * (solved - d)
+            now = float(d[-2]) if tip is None else lam
             step = est = abs(now - settled)
             # at a prescribed tip, a contracting lam bounds its own error by
             # rho / (1 - rho) times the step (Kelley 1995)
@@ -248,21 +240,15 @@ class _Runner:
                 rho = step / step_prev
                 est = step * min(1.0, rho / (1.0 - rho))
             if est <= COUPLING_TOLERANCE * max(abs(now), floor):
-                found = voltage if tip is None else voltage * math.sqrt(lam)
-                return EquilibriumResult(relaxed, True, it, found)
-            fld = relaxed
+                return d, lam, it, None
             settled, step_prev = now, step
-        return EquilibriumResult(
-            start, False, MAX_COUPLING_ITERATIONS, voltage, "max coupling iterations"
-        )
+        return None, math.nan, MAX_COUPLING_ITERATIONS, "max coupling iterations"
 
-    def _monolithic(
-        self, voltage: float, start: beam.DeflectionField, tip: float | None = None
-    ) -> EquilibriumResult:
-        """``beam.newton_solve`` under the plate load of ``voltage`` as it
-        follows the deflection, or under lam times it with ``tip`` prescribed;
-        iterations count the load evaluations, and a failure reports ``start``."""
-        _, weights, stiffness = self.load_operators
+    def _monolithic(self, voltage: float, d: np.ndarray, tip: float | None = None):
+        """``beam.newton_solve`` from the DOF vector ``d`` under the plate load of
+        ``voltage`` as it follows the deflection, or under lam times it with ``tip``
+        prescribed; returns (dofs, lam, load evaluations, failure reason)."""
+        _, weights, stiffness = beam.transverse_load_operators(self.mesh)
         f_coeff = self.cfg.load_model.fringing_coefficient
         evals = 0
 
@@ -275,13 +261,10 @@ class _Runner:
 
         linear = self.linear_op if self.cfg.structural_mode == LINEAR else None
         try:
-            d, _, ok, lam = beam.newton_solve(self.mesh, load, start.dofs, tip=tip, linear=linear)
+            d, _, ok, lam = beam.newton_solve(self.mesh, load, d, tip=tip, linear=linear)
         except GapClosureError:
-            return EquilibriumResult(start, False, evals, voltage, "gap closure")
-        if not ok:
-            return EquilibriumResult(start, False, evals, voltage, "newton divergence")
-        found = voltage if tip is None else voltage * math.sqrt(max(lam, 0.0))
-        return EquilibriumResult(beam.DeflectionField(self.mesh, d), True, evals, found)
+            return None, math.nan, evals, "gap closure"
+        return d, lam, evals, None if ok else "newton divergence"
 
 
 def solve_equilibrium(
@@ -381,7 +364,8 @@ def voltage_sweep(
     Each point starts from the previous solution scaled by (V_k / V_{k-1})^2,
     or unscaled where that tip would not lie inside the gap; the sweep stops
     at the first non-converged point and, when that happens, adds the
-    PullInResult of the search ``find_pull_in`` runs.
+    PullInResult of the search ``find_pull_in`` runs, here without its
+    ``VOLTAGE_CAP`` limit: the failed point shows that a pull-in exists.
     """
     if not 0.0 < v_max <= VOLTAGE_CAP:
         raise ValueError(f"v_max must lie in (0, {VOLTAGE_CAP:.0f}] V (got {v_max})")

@@ -147,6 +147,44 @@ class TestEquilibrium:
         assert 0.0 <= res.deflection.tip < st1_1_measured.gap_g
         assert res.deflection.tip == 0.0
 
+    @pytest.mark.parametrize("module, name, value, reason, iterations", [
+        (coupled, "MAX_COUPLING_ITERATIONS", 2, "max coupling iterations", 2),
+        (beam, "NEWTON_ITERATIONS", 0, "structural divergence", 1),
+    ], ids=["budget", "divergence"])
+    def test_staggered_failure_reason(self, st1_1_measured, monkeypatch,
+                                      module, name, value, reason, iterations):
+        # 150 V converges with the default budgets; each cut one ends the
+        # loop with its own reason, reporting the cold start
+        monkeypatch.setattr(module, name, value)
+        res = solve_equilibrium(st1_1_measured, 150.0, PLATE)
+        assert not res.converged
+        assert res.failure_reason == reason
+        assert res.iterations == iterations
+        assert res.voltage == 150.0
+        assert res.deflection.tip == 0.0
+
+    @pytest.mark.parametrize("coupling, module, name, value, reason", [
+        ("staggered", coupled, "MAX_COUPLING_ITERATIONS", 1, "max coupling iterations"),
+        ("monolithic", beam, "NEWTON_ITERATIONS", 0, "newton divergence"),
+    ])
+    def test_tip_failure_reports_scaled_start(self, st1_1_measured, monkeypatch,
+                                              coupling, module, name, value, reason):
+        # a loop at a prescribed tip never stops after one pass, nor Newton
+        # after no step: the failure reports the start scaled to the tip, and
+        # the voltage the solve was given
+        monkeypatch.setattr(module, name, value)
+        runner = _Runner(st1_1_measured, replace(PLATE, coupling_mode=coupling))
+        start = runner.linear_op.solve(beam.consistent_load_vector(runner.mesh, 1.0))
+        tip = 0.5 * st1_1_measured.gap_g
+        res = runner.equilibrium(2.0, start, tip)
+        assert not res.converged
+        assert res.failure_reason == reason
+        assert res.voltage == 2.0
+        assert res.deflection.tip == pytest.approx(tip, rel=1e-15)
+        np.testing.assert_allclose(
+            res.deflection.dofs, start.dofs * (tip / start.tip), rtol=1e-15, atol=0.0
+        )
+
 
 class TestSweep:
     def test_monotone_below_pull_in(self, st1_1_measured):
@@ -504,10 +542,10 @@ class TestAitkenRelaxation:
         res = runner.equilibrium(voltage)
         assert res.converged
         again, _ = runner._structural_solve(
-            runner._load_for(res.deflection.dofs, voltage), res.deflection
+            runner._load_for(res.deflection.dofs, voltage), res.deflection.dofs
         )
         tip = res.deflection.tip
-        assert abs(again.tip - tip) <= 5.0 * COUPLING_TOLERANCE * tip
+        assert abs(again[-2] - tip) <= 5.0 * COUPLING_TOLERANCE * tip
 
     @pytest.mark.parametrize("cfg", [SolverConfig(), PLATE], ids=["field2d", "plate"])
     @pytest.mark.parametrize("x", [0.35, 0.45, 0.55])
@@ -520,7 +558,7 @@ class TestAitkenRelaxation:
         res = runner.equilibrium(1.0, runner.linear_op.solve(uniform), tip)
         assert res.converged
         _, lam = runner._structural_solve(
-            runner._load_for(res.deflection.dofs, 1.0), res.deflection, tip
+            runner._load_for(res.deflection.dofs, 1.0), res.deflection.dofs, tip
         )
         assert abs(lam - res.voltage**2) <= 5.0 * COUPLING_TOLERANCE * res.voltage**2
 

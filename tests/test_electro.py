@@ -17,7 +17,7 @@ from micropull import (
     solve_field2d,
 )
 from micropull import electro
-from micropull.beam import DeflectionField, build_mesh
+from micropull.beam import DeflectionField, build_mesh, transverse_load_operators
 from micropull.coupled import SolverConfig, _Runner
 from micropull.electro import (
     FACE_PROBE_FRACTION,
@@ -101,7 +101,7 @@ class TestPlateLoad:
         s = st1_1_measured
         runner = _Runner(s, PLATE)
         d = at_tip(s, 1.02 * s.gap_g).dofs
-        assert (runner.load_operators[0] @ d).max() < s.gap_g
+        assert (transverse_load_operators(runner.mesh)[0] @ d).max() < s.gap_g
         with pytest.raises(GapClosureError):
             runner._load_for(d, 10.0)
 
