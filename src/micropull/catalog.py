@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping
 
@@ -24,6 +25,7 @@ from .errors import SpecimenFormatError
 NOMINAL = "nominal"
 MEASURED = "measured"
 _DIMENSION_SOURCES = (NOMINAL, MEASURED)
+MIN_YOUNG_MODULUS = 1.0  # Pa: far below any solid, far above where the solves break down
 
 # Behaviour-classification thresholds on the aspect ratios.  Chosen as the
 # simple round values that separate the catalog into its three behaviour
@@ -41,9 +43,10 @@ class Material:
     poisson_ratio: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.young_modulus < math.inf:
+        if not MIN_YOUNG_MODULUS <= self.young_modulus < math.inf:
             raise ValueError(
-                f"young_modulus must be positive and finite (got {self.young_modulus})"
+                f"young_modulus must be finite and at least {MIN_YOUNG_MODULUS:g} Pa "
+                f"(got {self.young_modulus})"
             )
         if not 0.0 <= self.poisson_ratio < 0.5:
             raise ValueError(f"poisson_ratio must be in [0, 0.5) (got {self.poisson_ratio})")
@@ -174,8 +177,8 @@ def specimen_record(spec: Specimen) -> dict:
 def _from_record(rec: Mapping) -> Specimen:
     """The Specimen of a file record; raises TypeError or ValueError on bad values.
 
-    Text fields must be strings and the others numbers; a boolean is no number
-    here, although ``float(True)`` is 1.0.
+    Text fields must be strings and the others numbers that fit a float; a
+    boolean is no number here, although ``float(True)`` is 1.0.
     """
     for name in _RECORD_FIELDS:
         value = rec[name]
@@ -185,6 +188,8 @@ def _from_record(rec: Mapping) -> Specimen:
             kind, ok = "number", isinstance(value, (int, float)) and not isinstance(value, bool)
         if not ok:
             raise TypeError(f"field '{name}' must be a {kind} (got {value!r})")
+        if isinstance(value, int) and abs(value) > sys.float_info.max:
+            raise ValueError(f"field '{name}' is an integer too large for a float")
     material = Material(float(rec["young_modulus_gpa"]) * 1e9, float(rec["poisson_ratio"]))
     return Specimen(
         id=rec["id"],
@@ -254,7 +259,7 @@ def load_specimens(path: str) -> list[Specimen]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, not UTF-8, or too many digits
         raise SpecimenFormatError(f"{path}: not valid JSON: {exc}") from exc
 
     if not isinstance(doc, dict) or "specimens" not in doc:

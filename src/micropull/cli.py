@@ -10,6 +10,7 @@ non-convergence where convergence was required, 4 file error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -147,8 +148,8 @@ def _parse_modulus(text: str | None, expect_pair: bool) -> tuple[float, ...] | N
         raise _UsageError("--E must be a 'low,high' GPa pair for band sweeps")
     if not expect_pair and len(values) != 1:
         raise _UsageError("--E takes a single GPa value for this command")
-    if not all(math.isfinite(v) and v > 0 for v in values):
-        raise _UsageError("--E values must be positive and finite")
+    if not all(catalog.MIN_YOUNG_MODULUS <= v < math.inf for v in values):
+        raise _UsageError(f"--E values must be finite, at least {catalog.MIN_YOUNG_MODULUS:g} Pa")
     if expect_pair and values[0] == values[1]:
         raise _UsageError("--E band ends must differ")
     return values
@@ -176,19 +177,6 @@ def _solver_config(args) -> SolverConfig:
         )
     except ValueError as exc:
         raise _UsageError(f"invalid model options: {exc}") from exc
-
-
-def _open_out(args):
-    if args.out:
-        try:
-            return open(args.out, "w", encoding="utf-8", newline=""), True
-        except OSError as exc:
-            raise _FileError(str(exc)) from exc
-    return sys.stdout, False
-
-
-class _FileError(Exception):
-    pass
 
 
 def _write_csv(
@@ -241,16 +229,13 @@ def _sweep_json_obj(result: SweepResult) -> dict:
 
 def _emit(args, csv_writer, json_obj) -> None:
     """Write ``json_obj`` as JSON with --format json, else call ``csv_writer``."""
-    sink, close = _open_out(args)
-    try:
+    stdout = contextlib.nullcontext(sys.stdout)
+    with open(args.out, "w", encoding="utf-8", newline="") if args.out else stdout as sink:
         if args.format == "json":
             json.dump(json_obj, sink, indent=2)
             sink.write("\n")
         else:
             csv_writer(sink)
-    finally:
-        if close:
-            sink.close()
 
 
 def _emit_row(args, row: dict, six_digit: tuple[str, ...] = ()) -> None:
@@ -308,11 +293,8 @@ def _maybe_dump_field(args, spec, cfg: SolverConfig, voltage: float, state) -> N
     if not args.dump_field:
         return
     solution = electro.solve_field2d(spec, state, voltage, cfg.load_model)
-    try:
-        with open(args.dump_field, "w", encoding="utf-8", newline="") as fh:
-            electro.dump_field_csv(solution, fh)
-    except OSError as exc:
-        raise _FileError(str(exc)) from exc
+    with open(args.dump_field, "w", encoding="utf-8", newline="") as fh:
+        electro.dump_field_csv(solution, fh)
 
 
 def _cmd_sweep(args) -> int:
@@ -392,7 +374,7 @@ def run(argv: Sequence[str]) -> int:
     except PullInNotFoundError as exc:
         print(f"micropull: no pull-in: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    except (SpecimenFormatError, _FileError, OSError) as exc:
+    except (SpecimenFormatError, OSError) as exc:
         print(f"micropull: file error: {exc}", file=sys.stderr)
         return EXIT_FILE
 

@@ -181,7 +181,7 @@ class TestClassification:
 
 class TestInvariants:
     def test_material_rejects_bad_values(self):
-        for modulus in (0.0, math.inf, math.nan):
+        for modulus in (0.0, 0.5, 5e-324, math.inf, math.nan):  # the floor is 1 Pa
             with pytest.raises(ValueError, match="young_modulus"):
                 Material(young_modulus=modulus, poisson_ratio=0.2)
         with pytest.raises(ValueError, match="poisson_ratio"):
@@ -248,6 +248,16 @@ class TestFileIO:
         message = str(err.value)
         assert "specimens[1]" in message
         assert f"field '{name}' must be a {kind}" in message
+
+    @pytest.mark.parametrize("name", NUMERIC_FIELDS)
+    def test_oversized_integer_names_entry_and_field(self, tmp_path, name):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"specimens": [GOOD_RECORD, {**GOOD_RECORD, name: 10**400}]}))
+        with pytest.raises(SpecimenFormatError) as err:
+            load_specimens(str(path))
+        message = str(err.value)
+        assert "specimens[1]" in message
+        assert f"field '{name}' is an integer too large for a float" in message
 
     def test_saved_catalog_bytes_match_golden(self, catalog, tmp_path):
         # the file format is a contract: field names, order, units and floats

@@ -344,6 +344,41 @@ class TestExitCodes:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("micropull: file error: ")
 
+    @pytest.mark.parametrize("name, value", [
+        ("young_modulus_gpa", 1e-12),  # below catalog.MIN_YOUNG_MODULUS
+        ("length_um", 10**400),  # an integer too large for a float
+    ])
+    def test_unusable_specimen_number_is_file_error(self, capsys, tmp_path, name, value):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"specimens": [{
+            "id": "x", "length_um": 100.0, "width_um": 15.0,
+            "thickness_um": 2.0, "gap_um": 5.0,
+            "young_modulus_gpa": 166.0, "poisson_ratio": 0.23,
+            "dimension_source": "nominal", name: value,
+        }]}))
+        code = run(["analytic", "--file", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("micropull: file error: ")
+        assert "specimens[0]" in lines[0]
+
+    @pytest.mark.parametrize("argv", [
+        ("pullin", "--load", "plate", "--out"),
+        ("sweep", "--vmax", "50", "--steps", "2", "--dump-field"),
+    ], ids=["out", "dump-field"])
+    def test_unwritable_path_is_file_error(self, capsys, tmp_path, argv):
+        path = tmp_path / "missing" / "x.csv"
+        code = run([*argv, str(path), "--id", "ST1-1", "--dims", "measured"])
+        captured = capsys.readouterr()
+        assert code == 4
+        if "--out" in argv:
+            assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"micropull: file error: [Errno 2] No such file or directory: '{path}'"
+        ]
+
     def test_no_pull_in_is_exit_3(self, capsys, tmp_path):
         stiff = tmp_path / "stiff.json"
         stiff.write_text(json.dumps({"specimens": [{
@@ -376,9 +411,10 @@ _BAD = {
     | _NOT_NUMBERS,
     "--fringing": st.floats(max_value=-1e-300).map(repr) | _NON_FINITE | _NOT_NUMBERS,
     "--E": st.floats(max_value=0.0).map(repr) | _NON_FINITE | _NOT_NUMBERS
-    | st.sampled_from(["150,166"]),
+    | st.sampled_from(["150,166", "1e-300", "5e-324"]),  # the last two below 1 Pa
     "--E pair": st.sampled_from(
-        ["150", "150,150", "nan,166", "0,166", "-150,166", "150,inf", "150,166,170", ","]
+        ["150", "150,150", "nan,166", "0,166", "-150,166", "150,inf", "150,166,170", ",",
+         "1e-300,166"]
     ) | _NOT_NUMBERS,
 }
 

@@ -185,6 +185,21 @@ class TestEquilibrium:
             res.deflection.dofs, start.dofs * (tip / start.tip), rtol=1e-15, atol=0.0
         )
 
+    @pytest.mark.parametrize("model", ["linear", "nonlinear"])
+    def test_monolithic_gap_closure_reports_start(self, st1_1_measured, model):
+        # 60 V from a state bent to 0.9 gap, far above its equilibrium voltage:
+        # the first Newton step closes the gap and the failure reports the start
+        runner = _Runner(st1_1_measured, replace(PLATE_MONO, structural_mode=model))
+        shape = runner.linear_op.solve(beam.consistent_load_vector(runner.mesh, 1.0))
+        bent = runner.equilibrium(1.0, shape, 0.9 * st1_1_measured.gap_g)
+        assert bent.converged
+        res = runner.equilibrium(60.0, start=bent.deflection)
+        assert not res.converged
+        assert res.failure_reason == "gap closure"
+        assert res.iterations == 2
+        assert res.voltage == 60.0
+        assert res.tip_displacement == bent.tip_displacement
+
 
 class TestSweep:
     def test_monotone_below_pull_in(self, st1_1_measured):
