@@ -480,9 +480,6 @@ def solve_nonlinear(
     incrementation fails.
     """
     f_ext = consistent_load_vector(mesh, q, tip_force, tip_moment)
-    if np.linalg.norm(f_ext[3:]) == 0.0:
-        return zero_field(mesh)
-
     n_inc = 1
     while n_inc <= LOAD_INCREMENTS:
         d = np.zeros(3 * mesh.n_nodes)

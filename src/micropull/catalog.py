@@ -159,6 +159,8 @@ _LENGTHS = {
     "thickness_um": "thickness_t",
     "gap_um": "gap_g",
 }
+# a file length outside 1 nm .. 1 m is refused: the solvers break down beyond it
+_LENGTH_RANGE_UM = (1e-3, 1e6)
 _RECORD_FIELDS = ("id", *_LENGTHS, "young_modulus_gpa", "poisson_ratio", "dimension_source")
 _TEXT_FIELDS = ("id", "dimension_source")  # the other six are numbers
 
@@ -177,9 +179,11 @@ def specimen_record(spec: Specimen) -> dict:
 def _from_record(rec: Mapping) -> Specimen:
     """The Specimen of a file record; raises TypeError or ValueError on bad values.
 
-    Text fields must be strings and the others numbers that fit a float; a
-    boolean is no number here, although ``float(True)`` is 1.0.
+    Text fields must be strings and the others numbers that fit a float, the
+    lengths within ``_LENGTH_RANGE_UM``; a boolean is no number here, although
+    ``float(True)`` is 1.0.
     """
+    lo, hi = _LENGTH_RANGE_UM
     for name in _RECORD_FIELDS:
         value = rec[name]
         if name in _TEXT_FIELDS:
@@ -190,6 +194,8 @@ def _from_record(rec: Mapping) -> Specimen:
             raise TypeError(f"field '{name}' must be a {kind} (got {value!r})")
         if isinstance(value, int) and abs(value) > sys.float_info.max:
             raise ValueError(f"field '{name}' is an integer too large for a float")
+        if name in _LENGTHS and not lo <= value <= hi:
+            raise ValueError(f"field '{name}' must lie in [{lo:g}, {hi:g}] um (got {value!r})")
     material = Material(float(rec["young_modulus_gpa"]) * 1e9, float(rec["poisson_ratio"]))
     return Specimen(
         id=rec["id"],

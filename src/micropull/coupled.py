@@ -14,8 +14,8 @@ Two coupling modes solve the same discrete problem:
 
 Both modes build every load vector the same way: ``beam.consistent_load_vector``
 assembles the load model's line load at the beam's quadrature points, and the
-plate load takes its gaps there, and at the tip, from one product with the
-cached matrix G of ``beam.transverse_load_operators``.
+plate load takes its gaps there from one product with the cached matrix G of
+``beam.transverse_load_operators``, and checks the tip's gap too.
 
 Pull-in is the maximum of the equilibrium voltage over the tip deflection.
 The search prescribes the tip deflection and solves for V (DIPIE: Bochobza-
@@ -54,7 +54,7 @@ _COUPLING_MODES = (STAGGERED, MONOLITHIC)
 # at this relative estimated error of V^2
 COUPLING_TOLERANCE = 1e-6
 MAX_COUPLING_ITERATIONS = 100  # a staggered loop that has not settled by then fails
-VOLTAGE_CAP = 10_000.0  # no solve above this voltage; the pull-in search gives up there
+VOLTAGE_CAP = 10_000.0  # no solve above this voltage; every pull-in search gives up there
 
 
 @dataclass(frozen=True)
@@ -150,17 +150,12 @@ class _Runner:
 
     # -- load construction -------------------------------------------------
 
-    @cached_property
-    def gap_rows(self) -> np.ndarray:
-        """G of ``beam.transverse_load_operators``, then a row that picks the tip deflection."""
-        g_mat = beam.transverse_load_operators(self.mesh)[0]
-        return np.vstack([g_mat, np.eye(1, g_mat.shape[1], g_mat.shape[1] - 2)])
-
     def _plate_load(self, d: np.ndarray, voltage: float):
         """Plate load vector of ``voltage`` on the DOF vector ``d``, and the gaps
         g - v at the quadrature points it was formed from; the tip's gap is
         checked too."""
-        gaps = self.spec.gap_g - self.gap_rows @ d
+        g_mat = beam.transverse_load_operators(self.mesh)[0]
+        gaps = self.spec.gap_g - np.append(g_mat @ d, d[-2])
         q = electro.plate_load(self.spec, gaps, voltage, self.cfg.load_model.fringing_coefficient)
         return beam.consistent_load_vector(self.mesh, q[:-1]), gaps[:-1]
 
@@ -277,8 +272,8 @@ def solve_equilibrium(
     return _Runner(spec, cfg).equilibrium(voltage)
 
 
-def _pull_in_search(runner: _Runner, cap: float) -> PullInResult:
-    """Maximise V over the prescribed tip x (in gaps), giving up above ``cap``.
+def _pull_in_search(runner: _Runner) -> PullInResult:
+    """Maximise V over the prescribed tip x (in gaps), giving up above ``VOLTAGE_CAP``.
 
     Successive parabolic interpolation through the three highest solved
     points, from x = 0.35, 0.45 and 0.55; each solve starts from the nearest
@@ -298,10 +293,10 @@ def _pull_in_search(runner: _Runner, cap: float) -> PullInResult:
         else:
             start = solved[near].deflection
         res = runner.equilibrium(1.0, start, x * spec.gap_g)
-        if not res.converged or res.voltage > cap:
+        if not res.converged or res.voltage > VOLTAGE_CAP:
             raise PullInNotFoundError(
                 f"no pull-in found for {spec.id} ({spec.dimension_source}) below "
-                f"{cap:.0f} V: at a tip deflection of {x:.3g} gap, "
+                f"{VOLTAGE_CAP:.0f} V: at a tip deflection of {x:.3g} gap, "
                 f"{res.failure_reason or f'{res.voltage:.0f} V'}"
             )
         solved[x] = res
@@ -349,7 +344,7 @@ def find_pull_in(spec: Specimen, config: SolverConfig | None = None) -> PullInRe
     or a solve at a prescribed tip fails.
     """
     cfg = config or SolverConfig()
-    return _pull_in_search(_Runner(spec, cfg), VOLTAGE_CAP)
+    return _pull_in_search(_Runner(spec, cfg))
 
 
 def voltage_sweep(
@@ -361,11 +356,11 @@ def voltage_sweep(
     """The equilibria at n_steps equally spaced voltages up to v_max (at most
     ``VOLTAGE_CAP``), one ``EquilibriumResult`` per voltage.
 
-    Each point starts from the previous solution scaled by (V_k / V_{k-1})^2,
-    or unscaled where that tip would not lie inside the gap; the sweep stops
-    at the first non-converged point and, when that happens, adds the
-    PullInResult of the search ``find_pull_in`` runs, here without its
-    ``VOLTAGE_CAP`` limit: the failed point shows that a pull-in exists.
+    The first point starts at rest, each later one from the previous
+    solution scaled by (V_k / V_{k-1})^2, or unscaled where that tip would not
+    lie inside the gap.  The sweep stops at the first non-converged point and
+    then adds the PullInResult of ``find_pull_in``'s search, which gives up
+    above ``VOLTAGE_CAP`` like every other.
     """
     if not 0.0 < v_max <= VOLTAGE_CAP:
         raise ValueError(f"v_max must lie in (0, {VOLTAGE_CAP:.0f}] V (got {v_max})")
@@ -375,24 +370,17 @@ def voltage_sweep(
     runner = _Runner(spec, cfg)
 
     points: list[EquilibriumResult] = []
-    pull_in: PullInResult | None = None
-    # the unloaded beam is the exact equilibrium at 0 V
-    last_ok = EquilibriumResult(beam.zero_field(runner.mesh), True, 0, 0.0)
     for k in range(1, n_steps + 1):
         v = v_max * k / n_steps
-        # the load scales as V^2: extrapolate, unless that reaches the electrode
-        start = last_ok.deflection
-        if last_ok.voltage > 0.0:
-            scaled = beam.DeflectionField(runner.mesh, start.dofs * (v / last_ok.voltage) ** 2)
-            if scaled.tip < spec.gap_g:
-                start = scaled
-        res = runner.equilibrium(v, start=start)
-        points.append(res)
-        if not res.converged:
-            pull_in = _pull_in_search(runner, math.inf)  # the failure shows one exists
-            break
-        last_ok = res
-    return SweepResult(points=tuple(points), pull_in=pull_in)
+        start = None
+        if points:  # the load scales as V^2: extrapolate, unless that reaches the electrode
+            prev = points[-1].deflection
+            scaled = beam.DeflectionField(runner.mesh, prev.dofs * (v / points[-1].voltage) ** 2)
+            start = scaled if scaled.tip < spec.gap_g else prev
+        points.append(runner.equilibrium(v, start=start))
+        if not points[-1].converged:
+            return SweepResult(tuple(points), _pull_in_search(runner))
+    return SweepResult(tuple(points))
 
 
 def modulus_band_sweep(

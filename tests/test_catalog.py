@@ -211,6 +211,18 @@ class TestInvariants:
                 material=Material(1e9, 0.2), dimension_source="nominal",
             )
 
+    def test_specimen_rejects_thickness_not_below_length(self):
+        with pytest.raises(ValueError, match="thickness_t must be smaller"):
+            Specimen(
+                id="bad", length_l=1e-4, width_w=1e-5, thickness_t=1e-4, gap_g=1e-5,
+                material=Material(1e9, 0.2), dimension_source="nominal",
+            )
+
+    def test_ambiguous_selector_refused(self, catalog):
+        twice = [*catalog, select_specimen(catalog, "ST1-1", "nominal")]
+        with pytest.raises(KeyError, match="ambiguous"):
+            select_specimen(twice, "ST1-1", "nominal")
+
     def test_specimen_rejects_unknown_source(self):
         with pytest.raises(ValueError, match="dimension_source"):
             Specimen(
@@ -258,6 +270,19 @@ class TestFileIO:
         message = str(err.value)
         assert "specimens[1]" in message
         assert f"field '{name}' is an integer too large for a float" in message
+
+    @pytest.mark.parametrize("value", [0.000999, 1.000001e6])
+    @pytest.mark.parametrize("name", ["length_um", "width_um", "thickness_um", "gap_um"])
+    def test_length_outside_range_names_entry_and_field(self, tmp_path, name, value):
+        # 1 nm .. 1 m; a 1 m length keeps t and g below it
+        record = {**GOOD_RECORD, "length_um": 1e6, name: value}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"specimens": [GOOD_RECORD, record]}))
+        with pytest.raises(SpecimenFormatError) as err:
+            load_specimens(str(path))
+        message = str(err.value)
+        assert "specimens[1]" in message
+        assert f"field '{name}' must lie in [0.001, 1e+06] um (got {value!r})" in message
 
     def test_saved_catalog_bytes_match_golden(self, catalog, tmp_path):
         # the file format is a contract: field names, order, units and floats

@@ -260,7 +260,12 @@ class TestExitCodes:
         b"{not json",
         b'\xff\xfe{"specimens": []}',  # not UTF-8
         b"[" * 100_000,  # nested deeper than the decoder's recursion limit
-    ], ids=["invalid-json", "not-utf8", "deeply-nested"])
+        b'[{"specimens": []}]',
+        b'{"specimen": []}',
+        b'{"specimens": {}}',
+        b'{"specimens": [1]}',
+    ], ids=["invalid-json", "not-utf8", "deeply-nested", "top-level-array", "no-specimens",
+            "specimens-not-array", "entry-not-object"])
     def test_malformed_file_is_file_error(self, capsys, tmp_path, content):
         bad = tmp_path / "bad.json"
         bad.write_bytes(content)
@@ -347,6 +352,12 @@ class TestExitCodes:
     @pytest.mark.parametrize("name, value", [
         ("young_modulus_gpa", 1e-12),  # below catalog.MIN_YOUNG_MODULUS
         ("length_um", 10**400),  # an integer too large for a float
+        # lengths outside catalog._LENGTH_RANGE_UM, 1 nm .. 1 m
+        ("gap_um", 0.000999),
+        ("thickness_um", 1e-150),
+        ("gap_um", 1e-150),
+        ("length_um", 1.000001e6),
+        ("length_um", 1e150),
     ])
     def test_unusable_specimen_number_is_file_error(self, capsys, tmp_path, name, value):
         bad = tmp_path / "bad.json"
@@ -378,6 +389,30 @@ class TestExitCodes:
         assert captured.err.splitlines() == [
             f"micropull: file error: [Errno 2] No such file or directory: '{path}'"
         ]
+
+    # corners of the file length range, t and g below l, at moduli from 1 Pa
+    # up: the solves fail with exit 3 at worst
+    @pytest.mark.parametrize("l, w, t, g, e_gpa", [
+        (1e6, 1e-3, 1e-3, 1e-3, 166.0),
+        (1e6, 1e6, 999e3, 999e3, 1e-9),
+        (2e-3, 1e6, 1e-3, 1e-3, 166.0),
+        (2e-3, 1e-3, 1e-3, 1e-3, 1e291),
+    ])
+    def test_length_range_corner_prints_no_traceback(self, capsys, tmp_path, l, w, t, g, e_gpa):
+        corner = tmp_path / "corner.json"
+        corner.write_text(json.dumps({"specimens": [{
+            "id": "x", "length_um": l, "width_um": w, "thickness_um": t, "gap_um": g,
+            "young_modulus_gpa": e_gpa, "poisson_ratio": 0.23, "dimension_source": "nominal",
+        }]}))
+        for argv in (
+            ("analytic",),
+            ("pullin", "--load", "plate"),
+            ("pullin", "--load", "plate", "--coupling", "monolithic"),
+            ("pullin",),
+            ("sweep", "--load", "plate", "--vmax", "10000", "--steps", "4"),
+        ):
+            assert run([*argv, "--file", str(corner)]) in (0, 3), argv
+            assert "Traceback" not in capsys.readouterr().err
 
     def test_no_pull_in_is_exit_3(self, capsys, tmp_path):
         stiff = tmp_path / "stiff.json"
@@ -485,6 +520,23 @@ class TestFileSelector:
         code, out = run_cli(capsys, "analytic", "--file", str(one))
         assert code == 0
         assert out.startswith("id,")
+
+    def test_several_specimens_need_id(self, capsys, tmp_path):
+        two = tmp_path / "two.json"
+        record = {
+            "id": "X1", "length_um": 100.0, "width_um": 15.0,
+            "thickness_um": 2.0, "gap_um": 5.0,
+            "young_modulus_gpa": 166.0, "poisson_ratio": 0.23,
+            "dimension_source": "nominal",
+        }
+        two.write_text(json.dumps({"specimens": [record, {**record, "id": "X2"}]}))
+        code = run(["sweep", "--file", str(two), "--vmax", "50"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "micropull: error: --id is required (the specimen set has several entries)"
+        ]
 
 
 class TestDeterminism:

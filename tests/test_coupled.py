@@ -416,6 +416,40 @@ class TestPullIn:
         with pytest.raises(PullInNotFoundError):
             find_pull_in(STIFF, PLATE)
 
+    def test_convex_start_steps_beyond_the_end(self, st1_1_measured, monkeypatch):
+        # V(x) = 100 e^(6x) (1 - x) is convex at the start points 0.35, 0.45
+        # and 0.55, so the search first steps beyond 0.55; its maximum is
+        # 100 e^5 / 6 at x = 5/6
+        xs = _synthetic_curve(monkeypatch, lambda x: 100.0 * math.exp(6.0 * x) * (1.0 - x))
+        r = find_pull_in(st1_1_measured, PLATE)
+        assert xs[3] == pytest.approx(0.75)
+        assert r.bracket_high - r.bracket_low <= PLATE.pull_in_bracket_tolerance
+        assert r.bracket_low <= 100.0 * math.exp(5.0) / 6.0 <= r.bracket_high
+
+    def test_sweep_search_gives_up_above_cap(self, st1_1_measured, monkeypatch):
+        # every sweep point fails, and the search that follows meets a V(x)
+        # peaking at 12 kV: like every pull-in search it gives up above the cap
+        xs = _synthetic_curve(monkeypatch, lambda x: 48_000.0 * x * (1.0 - x))
+        with pytest.raises(PullInNotFoundError, match="below 10000 V"):
+            voltage_sweep(st1_1_measured, 100.0, 2, PLATE)
+        assert xs == [0.35]
+
+
+def _synthetic_curve(monkeypatch, v_of_x):
+    """Replace the staggered loop by the equilibrium curve V(x), x the tip in
+    gaps: a prescribed tip returns its start and lam = (V(x) / voltage)^2, a
+    voltage fails.  Returns the list of the prescribed x, filled as solved."""
+    xs = []
+
+    def staggered(self, voltage, d, tip=None):
+        if tip is None:
+            return None, math.nan, 1, "gap closure"
+        xs.append(tip / self.spec.gap_g)
+        return d, (v_of_x(xs[-1]) / voltage) ** 2, 1, None
+
+    monkeypatch.setattr(_Runner, "_staggered", staggered)
+    return xs
+
 
 class TestModulusBand:
     def test_low_modulus_dominates(self, st1_1_measured):

@@ -1,17 +1,27 @@
 """CLI output against committed goldens, byte for byte.
 
 Each golden under ``tests/golden/`` but ``specimens-builtin.json`` (the
-saved-file golden of ``tests/test_catalog.py``) is the standard output of
+saved-file golden of ``tests/test_catalog.py``) and ``gap-closure-reasons.json``
+(of ``tests/test_coupled.py``) is the standard output of
 one command line run through ``cli.run``: ``<case>.csv``, or ``<case>`` itself for the
 ``.json`` cases, which add ``--format json``.  A refactor that keeps the algorithm must keep
 these bytes.  To record them again from the current tree (only where a
 change of output is intended and explained):
 
     PYTHONPATH=src python tests/test_golden.py
+
+To run every case through a command instead, such as the installed console
+script; it exits 1 and names each case whose exit code is not 0 or whose
+output differs:
+
+    python tests/test_golden.py --check micropull
 """
 
+import argparse
 import contextlib
 import io
+import shlex
+import subprocess
 import sys
 from pathlib import Path
 
@@ -90,7 +100,21 @@ def test_cli_output_matches_golden(name):
 
 
 if __name__ == "__main__":
-    GOLDEN.mkdir(exist_ok=True)
-    for name, argv in CASES.items():
-        _golden(name).write_text(_run(argv), encoding="utf-8")
-        print(name, file=sys.stderr)
+    parser = argparse.ArgumentParser(description="Record the goldens, or check a command.")
+    parser.add_argument("--check", metavar="CMD", help="run every case through CMD (shlex-split)")
+    cmd = parser.parse_args().check
+    if cmd is None:
+        GOLDEN.mkdir(exist_ok=True)
+        for name, argv in CASES.items():
+            _golden(name).write_text(_run(argv), encoding="utf-8")
+            print(name, file=sys.stderr)
+        sys.exit(0)
+
+    def differs(name: str, argv) -> bool:
+        proc = subprocess.run([*shlex.split(cmd), *argv], capture_output=True)
+        return proc.returncode != 0 or proc.stdout != _golden(name).read_bytes()
+
+    differ = [name for name, argv in CASES.items() if differs(name, argv)]
+    for name in differ:
+        print(f"differs: {name}", file=sys.stderr)
+    sys.exit(1 if differ else 0)
