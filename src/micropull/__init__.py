@@ -2,9 +2,7 @@
 microcantilevers: deflection-voltage curves and pull-in prediction."""
 
 from .analytic import (
-    LumpedActuator,
     PullInEstimate,
-    lumped_pull_in,
     osterberg_displacement_identity,
     osterberg_pull_in,
 )
@@ -64,7 +62,6 @@ __all__ = [
     "FieldSolution",
     "GapClosureError",
     "LoadModelConfig",
-    "LumpedActuator",
     "Material",
     "PullInEstimate",
     "PullInNotFoundError",
@@ -80,7 +77,6 @@ __all__ = [
     "classify",
     "find_pull_in",
     "load_specimens",
-    "lumped_pull_in",
     "maxwell_load",
     "modulus_band_sweep",
     "osterberg_displacement_identity",

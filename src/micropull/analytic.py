@@ -1,12 +1,8 @@
-"""Closed-form pull-in estimates.
+"""Closed-form pull-in estimate.
 
-Two classical models:
-
-* the empirical cantilever pull-in fit of Osterberg and Senturia, whose
-  voltage scales as sqrt(E t^3 g^3 / (eps l^4)) with a first-order
-  fringing-field denominator correction in g/w, and
-* the one-degree-of-freedom parallel-plate actuator, which pulls in at
-  one third of the gap.
+The empirical cantilever pull-in fit of Osterberg and Senturia, whose
+voltage scales as sqrt(E t^3 g^3 / (eps l^4)) with a first-order
+fringing-field denominator correction in g/w.
 
 Reference values shipped with the test suite assume the catalog's
 nominal modulus of 166 GPa.
@@ -21,8 +17,6 @@ from .catalog import Specimen
 from .constants import VACUUM_PERMITTIVITY
 
 OSTERBERG = "osterberg"
-LUMPED = "lumped"
-_METHODS = (OSTERBERG, LUMPED)
 
 
 @dataclass(frozen=True)
@@ -38,22 +32,6 @@ class PullInEstimate:
             raise ValueError(f"pull-in voltage must be positive (got {self.voltage})")
         if not self.displacement > 0.0:
             raise ValueError(f"pull-in displacement must be positive (got {self.displacement})")
-        if self.method not in _METHODS:
-            raise ValueError(f"method must be one of {_METHODS} (got {self.method!r})")
-
-
-@dataclass(frozen=True)
-class LumpedActuator:
-    """Spring-suspended rigid plate over a fixed electrode."""
-
-    stiffness_k: float  # N/m
-    plate_area_a: float  # m^2
-    gap_g: float  # m
-
-    def __post_init__(self) -> None:
-        for name in ("stiffness_k", "plate_area_a", "gap_g"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be strictly positive (got {getattr(self, name)})")
 
 
 def osterberg_pull_in(spec: Specimen) -> PullInEstimate:
@@ -82,15 +60,3 @@ def osterberg_displacement_identity(spec: Specimen) -> float:
     """
     g = spec.gap_g
     return 0.21 * g / (1.0 + 0.42 * g / spec.width_w)
-
-
-def lumped_pull_in(act: LumpedActuator) -> PullInEstimate:
-    """Pull-in of the 1-DOF parallel-plate actuator.
-
-    The equilibrium voltage V(x) = sqrt(2 k x (g - x)^2 / (eps A)) is
-    maximal at x = g/3, giving V_PI = sqrt(8 k g^3 / (27 eps A)).
-    """
-    voltage = math.sqrt(
-        8.0 * act.stiffness_k * act.gap_g**3 / (27.0 * VACUUM_PERMITTIVITY * act.plate_area_a)
-    )
-    return PullInEstimate(voltage=voltage, displacement=act.gap_g / 3.0, method=LUMPED)

@@ -443,7 +443,7 @@ def newton_solve(
         if not np.isfinite(rn):  # an overflowing residual would pass an overflowing floor
             return d, history, False, lam
         tip_gap = None if tip is None else tip - d[-2]
-        floor = 1e-10 * max(float(np.linalg.norm(f_lam[3:])), 1e-30) + noise
+        floor = 1e-10 * float(np.linalg.norm(f_lam[3:])) + noise
         if rn <= floor and (tip_gap is None or abs(tip_gap) <= 1e-12 * abs(tip)):
             return d, history, True, lam
         if it == NEWTON_ITERATIONS or max_local > _MAX_LOCAL_ROTATION:
@@ -493,14 +493,3 @@ def solve_nonlinear(
     raise ConvergenceError(
         f"corotational solve did not converge with up to {LOAD_INCREMENTS} load increments"
     )
-
-
-def axial_strains(fld: DeflectionField) -> np.ndarray:
-    """Element chord strains (ln - l0)/l0 of a solved state."""
-    mesh = fld.mesh
-    x = mesh.node_positions + fld.axial
-    dx = np.diff(x)
-    dy = np.diff(fld.deflection)
-    l0 = np.diff(mesh.node_positions)
-    ln = np.hypot(dx, dy)
-    return (ln - l0) / l0

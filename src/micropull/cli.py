@@ -130,6 +130,8 @@ def _select(args) -> catalog.Specimen:
     if not args.id:
         if len(specimens) == 1:
             return specimens[0]
+        if not specimens:
+            raise _UsageError("the specimen set is empty")
         raise _UsageError("--id is required (the specimen set has several entries)")
     try:
         return catalog.select_specimen(specimens, args.id, args.dims)

@@ -538,6 +538,66 @@ class TestFileSelector:
             "micropull: error: --id is required (the specimen set has several entries)"
         ]
 
+    @pytest.mark.parametrize("argv", [
+        ["ratios"], ["analytic"], ["sweep", "--vmax", "50"], ["pullin"], ["band", "--vmax", "50"],
+    ], ids=lambda argv: argv[0])
+    def test_empty_specimen_set_is_named(self, capsys, tmp_path, argv):
+        empty = tmp_path / "empty.json"
+        empty.write_text(json.dumps({"specimens": []}))
+        code = run([*argv, "--file", str(empty)])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["micropull: error: the specimen set is empty"]
+        code, out = run_cli(capsys, "catalog", "--file", str(empty))
+        assert code == 0
+        assert out.splitlines() == [",".join(cli._CATALOG_HEADER)]
+
+
+class TestCompliantCorner:
+    """The most compliant beam the specimen file accepts (L = 1 m; w, t and
+    g = 1 nm; E = 1 Pa) pulls in near 1.5e-22 V, where its forces are of order
+    1e-47 N: the solvers may hold no absolute force floor."""
+
+    MODES = [
+        ["--load", "plate", "--model", m, "--coupling", c]
+        for m in ("linear", "nonlinear") for c in ("staggered", "monolithic")
+    ] + [["--load", "field2d", "--model", m] for m in ("linear", "nonlinear")]
+
+    @pytest.fixture(scope="class")
+    def corner(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("corner") / "corner.json"
+        path.write_text(json.dumps({"specimens": [{
+            "id": "C", "length_um": 1e6, "width_um": 0.001, "thickness_um": 0.001,
+            "gap_um": 0.001, "young_modulus_gpa": 1e-9, "poisson_ratio": 0.25,
+            "dimension_source": "nominal",
+        }]}))
+        return str(path)
+
+    def pull_in_v(self, capsys, corner, mode):
+        code, out = run_cli(capsys, "pullin", "--file", corner, *mode)
+        assert code == 0
+        return float(out.splitlines()[1].split(",")[2])
+
+    @pytest.mark.parametrize("mode", MODES, ids=lambda mode: "-".join(mode[1::2]))
+    def test_pullin_settles(self, capsys, corner, mode):
+        assert 1e-22 < self.pull_in_v(capsys, corner, mode) < 2e-22
+
+    def test_couplings_agree(self, capsys, corner):
+        nonlinear_plate = self.MODES[2:4]  # staggered, monolithic
+        staggered, monolithic = (self.pull_in_v(capsys, corner, mode) for mode in nonlinear_plate)
+        assert monolithic == pytest.approx(staggered, rel=1e-5)
+
+    @pytest.mark.parametrize("mode", MODES[:4], ids=lambda mode: "-".join(mode[3::2]))
+    def test_sweep_tips_positive(self, capsys, corner, mode):
+        code, out = run_cli(
+            capsys, "sweep", "--file", corner, *mode, "--vmax", "1e-22", "--steps", "4"
+        )
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert len(rows) == 4
+        assert all(float(row[1]) > 0.0 and row[2] == "true" for row in rows)
+
 
 class TestDeterminism:
     def test_sweep_byte_identical_across_processes(self, tmp_path):

@@ -521,6 +521,19 @@ class TestSimilarityLaws:
             assert getattr(got, attr) == pytest.approx(v_scale * getattr(ref, attr), rel=1e-9)
 
 
+def test_field2d_shift_from_plate_scales_as_gap_over_length(catalog):
+    # field2d adds the in-plane tip fringe to the plate load without fringing;
+    # its pull-in shift times L/g is the same (about -0.517) on the three
+    # measured specimens with L/g near 20, although their t, L, g and E differ
+    shifts = []
+    for sid in ("ST1-1", "ST1-4", "ST1-6"):
+        spec = select_specimen(catalog, sid, "measured")
+        ratio = find_pull_in(spec).pull_in_voltage / find_pull_in(spec, PLATE_F0).pull_in_voltage
+        shifts.append((ratio - 1.0) * spec.length_l / spec.gap_g)
+    assert max(shifts) < 0.0
+    assert max(shifts) - min(shifts) <= 0.01 * abs(max(shifts))
+
+
 @pytest.fixture(scope="module")
 def plate_brackets(st1_1_measured):
     """Plate-load pull-ins of measured ST1-1 by (structural mode, coupling,
