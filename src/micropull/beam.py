@@ -370,23 +370,6 @@ def _lapack(routine, *args, **options) -> np.ndarray:
     return out
 
 
-def assembly_noise_floor(mesh: BeamMesh, dofs: np.ndarray) -> float:
-    """Residual-norm floor set by float roundoff of the corotational assembly.
-
-    The chord angles inherit an absolute eps * |v|/L noise from the stored
-    nodal values and the elongations an eps * state^2 * L one; below the
-    resulting force noise a residual cannot be driven further.
-    """
-    length = mesh.element_length
-    u, v, theta = np.abs(dofs.reshape(-1, 3)).max(axis=0)
-    state = max(float(theta), float(u / length), float(v / length))
-    return float(
-        4.0 * _EPS * np.sqrt(dofs.size)
-        * (mesh.bending_rigidity / length**2 * state
-           + 0.5 * mesh.axial_rigidity * state * state)
-    )
-
-
 def newton_solve(
     mesh: BeamMesh,
     f_ext: np.ndarray | Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
@@ -410,7 +393,8 @@ def newton_solve(
     frame's range, but not on a growing residual: the corotational one can
     alternate by orders of magnitude while it converges.
     """
-    d = np.zeros(3 * mesh.n_nodes) if start is None else np.array(start, dtype=float)
+    n = 3 * mesh.n_nodes
+    d = np.zeros(n) if start is None else np.array(start, dtype=float)
     lam = 1.0 if tip is None else 0.0
     load_at = f_ext if callable(f_ext) else None
     # node columns (u, v, theta) of each step cap
@@ -428,13 +412,14 @@ def newton_solve(
                 f_int, k_t, max_local = corotational_internal(mesh, d)
             except ConvergenceError:
                 return d, history, False, lam
-            noise = assembly_noise_floor(mesh, d)
         else:
-            # K d from the band, which is BLAS gbmv storage, and its matvec roundoff bound
-            k_t, max_local, n = linear.k_band, 0.0, d.size
+            # K d from the band, which is BLAS gbmv storage
+            k_t, max_local = linear.k_band, 0.0
             f_int = dgbmv(n, n, _HALF_BAND, _HALF_BAND, 1.0, k_t, d)
-            bound = dgbmv(n, n, _HALF_BAND, _HALF_BAND, 1.0, np.abs(k_t), np.abs(d))
-            noise = 4.0 * _EPS * float(np.linalg.norm(bound))
+        # no residual gets below the matvec roundoff bound |fl(K d) - K d| <= gamma_n |K| |d|
+        # of the tangent (Higham, Accuracy and Stability of Numerical Algorithms, 2002, 3.5)
+        bound = dgbmv(n, n, _HALF_BAND, _HALF_BAND, 1.0, np.abs(k_t), np.abs(d))
+        noise = 4.0 * _EPS * float(np.linalg.norm(bound))
         f_lam = lam * f_ext
         res = f_lam - f_int
         res[:3] = 0.0

@@ -63,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--file", help="specimen file (JSON, micrometre units)")
         p.add_argument(
             "--dims", choices=(catalog.NOMINAL, catalog.MEASURED),
-            default=catalog.NOMINAL, help="dimension set (default: nominal)",
+            help="dimension set (default: nominal)",
         )
 
     def add_output(p: argparse.ArgumentParser) -> None:
@@ -126,15 +126,19 @@ def _specimens_for(args) -> list[catalog.Specimen]:
 
 
 def _select(args) -> catalog.Specimen:
+    """The specimen of --id and --dims; without --id, the set's only entry,
+    which an explicit --dims must match."""
     specimens = _specimens_for(args)
     if not args.id:
-        if len(specimens) == 1:
-            return specimens[0]
         if not specimens:
             raise _UsageError("the specimen set is empty")
-        raise _UsageError("--id is required (the specimen set has several entries)")
+        if len(specimens) > 1:
+            raise _UsageError("--id is required (the specimen set has several entries)")
+        if args.dims is None:
+            return specimens[0]
+    specimen_id = args.id or specimens[0].id
     try:
-        return catalog.select_specimen(specimens, args.id, args.dims)
+        return catalog.select_specimen(specimens, specimen_id, args.dims or catalog.NOMINAL)
     except KeyError as exc:
         raise _UsageError(str(exc.args[0])) from exc
 

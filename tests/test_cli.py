@@ -509,17 +509,37 @@ class TestExitCodeProperty:
 
 
 class TestFileSelector:
-    def test_single_specimen_file_needs_no_id(self, capsys, tmp_path):
+    # every command that takes a specimen selector
+    COMMANDS = [
+        ["ratios"], ["analytic"], ["sweep", "--vmax", "50"], ["pullin"], ["band", "--vmax", "50"],
+    ]
+
+    def one_entry(self, tmp_path, dimension_source):
         one = tmp_path / "one.json"
         one.write_text(json.dumps({"specimens": [{
             "id": "X1", "length_um": 100.0, "width_um": 15.0,
             "thickness_um": 2.0, "gap_um": 5.0,
             "young_modulus_gpa": 166.0, "poisson_ratio": 0.23,
-            "dimension_source": "nominal",
+            "dimension_source": dimension_source,
         }]}))
-        code, out = run_cli(capsys, "analytic", "--file", str(one))
-        assert code == 0
-        assert out.startswith("id,")
+        return str(one)
+
+    def test_single_specimen_file_needs_no_id(self, capsys, tmp_path):
+        one = self.one_entry(tmp_path, "nominal")
+        for dims in ([], ["--dims", "nominal"]):
+            code, out = run_cli(capsys, "analytic", "--file", one, *dims)
+            assert code == 0
+            assert out.startswith("id,")
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: argv[0])
+    def test_explicit_dims_must_match_single_entry(self, capsys, tmp_path, argv):
+        code = run([*argv, "--file", self.one_entry(tmp_path, "measured"), "--dims", "nominal"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "micropull: error: no specimen 'X1' with nominal dimensions"
+        ]
 
     def test_several_specimens_need_id(self, capsys, tmp_path):
         two = tmp_path / "two.json"
@@ -538,9 +558,7 @@ class TestFileSelector:
             "micropull: error: --id is required (the specimen set has several entries)"
         ]
 
-    @pytest.mark.parametrize("argv", [
-        ["ratios"], ["analytic"], ["sweep", "--vmax", "50"], ["pullin"], ["band", "--vmax", "50"],
-    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: argv[0])
     def test_empty_specimen_set_is_named(self, capsys, tmp_path, argv):
         empty = tmp_path / "empty.json"
         empty.write_text(json.dumps({"specimens": []}))
@@ -597,6 +615,16 @@ class TestCompliantCorner:
         rows = [line.split(",") for line in out.splitlines()[1:]]
         assert len(rows) == 4
         assert all(float(row[1]) > 0.0 and row[2] == "true" for row in rows)
+
+    def test_sweep_tips_agree_across_plate_modes(self, capsys, corner):
+        tips = []
+        for mode in self.MODES[:4]:
+            code, out = run_cli(
+                capsys, "sweep", "--file", corner, *mode, "--vmax", "1e-22", "--steps", "4"
+            )
+            assert code == 0
+            tips.append([line.split(",")[1] for line in out.splitlines()[1:]])
+        assert tips == [tips[0]] * 4
 
 
 class TestDeterminism:

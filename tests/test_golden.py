@@ -12,7 +12,7 @@ change of output is intended and explained):
 
 To run every case through a command instead, such as the installed console
 script; it exits 1 and names each case whose exit code is not 0 or whose
-output differs:
+output differs, with the first line where output and golden differ:
 
     python tests/test_golden.py --check micropull
 """
@@ -20,6 +20,7 @@ output differs:
 import argparse
 import contextlib
 import io
+import itertools
 import shlex
 import subprocess
 import sys
@@ -110,11 +111,22 @@ if __name__ == "__main__":
             print(name, file=sys.stderr)
         sys.exit(0)
 
-    def differs(name: str, argv) -> bool:
+    def difference(name: str, argv) -> str | None:
         proc = subprocess.run([*shlex.split(cmd), *argv], capture_output=True)
-        return proc.returncode != 0 or proc.stdout != _golden(name).read_bytes()
+        if proc.returncode != 0:
+            return f"exit code {proc.returncode}"
+        golden = _golden(name).read_text(encoding="utf-8").splitlines(keepends=True)
+        output = proc.stdout.decode("utf-8", "replace").splitlines(keepends=True)
+        pairs = itertools.zip_longest(golden, output, fillvalue="<end>")
+        for number, (want, got) in enumerate(pairs, 1):
+            if want != got:
+                return f"line {number}: golden {want!r}, output {got!r}"
+        return None
 
-    differ = [name for name, argv in CASES.items() if differs(name, argv)]
-    for name in differ:
-        print(f"differs: {name}", file=sys.stderr)
+    differ = False
+    for name, argv in CASES.items():
+        found = difference(name, argv)
+        if found is not None:
+            print(f"differs: {name}: {found}", file=sys.stderr)
+            differ = True
     sys.exit(1 if differ else 0)
