@@ -34,7 +34,7 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.linalg.blas import dgbmv
+from scipy.linalg.blas import dgbmv, dnrm2
 from scipy.linalg.lapack import get_lapack_funcs
 
 from .catalog import Specimen
@@ -389,9 +389,9 @@ def newton_solve(
     [res f_ext], dlam = (tip gap - a_tip) / b_tip.  Steps are capped at 0.2 gap
     transverse under a state-dependent load, else at 0.5 rad and 0.3 L.
     The solve fails after NEWTON_ITERATIONS steps, on a non-finite residual
-    or step, a singular tangent or a local rotation beyond the corotational
-    frame's range, but not on a growing residual: the corotational one can
-    alternate by orders of magnitude while it converges.
+    or step, a singular or non-finite tangent or a local rotation beyond the
+    corotational frame's range, but not on a growing residual: the
+    corotational one can alternate by orders of magnitude while it converges.
     """
     n = 3 * mesh.n_nodes
     d = np.zeros(n) if start is None else np.array(start, dtype=float)
@@ -419,21 +419,21 @@ def newton_solve(
         # no residual gets below the matvec roundoff bound |fl(K d) - K d| <= gamma_n |K| |d|
         # of the tangent (Higham, Accuracy and Stability of Numerical Algorithms, 2002, 3.5)
         bound = dgbmv(n, n, _HALF_BAND, _HALF_BAND, 1.0, np.abs(k_t), np.abs(d))
-        noise = 4.0 * _EPS * float(np.linalg.norm(bound))
+        noise = 4.0 * _EPS * dnrm2(bound)
         f_lam = lam * f_ext
         res = f_lam - f_int
         res[:3] = 0.0
-        rn = float(np.linalg.norm(res))
+        rn = dnrm2(res)
         history.append(rn)
         if not np.isfinite(rn):  # an overflowing residual would pass an overflowing floor
             return d, history, False, lam
         tip_gap = None if tip is None else tip - d[-2]
-        floor = 1e-10 * float(np.linalg.norm(f_lam[3:])) + noise
+        floor = 1e-10 * dnrm2(f_lam[3:]) + noise
         if rn <= floor and (tip_gap is None or abs(tip_gap) <= 1e-12 * abs(tip)):
             return d, history, True, lam
-        if it == NEWTON_ITERATIONS or max_local > _MAX_LOCAL_ROTATION:
-            return d, history, False, lam
         jac = k_t if load_at is None else k_t - lam * k_load
+        if it == NEWTON_ITERATIONS or max_local > _MAX_LOCAL_ROTATION or not np.isfinite(jac).all():
+            return d, history, False, lam
         try:
             if tip_gap is None:
                 step, dlam = solve_clamped_banded(jac, res), 0.0

@@ -140,14 +140,15 @@ class _FieldPattern:
     vertices ``tri[:, t]``.  Distinct entry d of the flattened (n_tri, 6)
     element entries is entry (_DISTINCT_I[d % 6], _DISTINCT_J[d % 6]) of
     triangle d // 6.  The unknowns are the free nodes in nested-dissection order.
+    The maps numpy reads stay intp: it would cast int32 ones back on every solve.
     """
 
     tri: np.ndarray  # (3, n_tri) node ids
     free: np.ndarray  # node id of each unknown
-    kff_slot: np.ndarray  # per distinct entry: its upper-triangle slot, n_upper if outside K_ff
-    kff_mirror: np.ndarray  # per slot of K_ff's CSC data: its upper-triangle slot
-    kff_indices: np.ndarray  # K_ff CSC row indices
-    kff_indptr: np.ndarray  # K_ff CSC column pointers
+    kff_entries: np.ndarray  # distinct entries coupling two free nodes
+    kff_slot: np.ndarray  # their slot in K_ff's CSC data
+    kff_indices: np.ndarray  # K_ff CSC row indices, int32 as scipy keeps them
+    kff_indptr: np.ndarray  # K_ff CSC column pointers, int32
     rhs_entries: np.ndarray  # distinct entries coupling a free row to a beam-face column
     rhs_rows: np.ndarray  # their unknown index
     beam_entries: np.ndarray  # distinct entries in a beam-face row
@@ -197,25 +198,7 @@ def _field_pattern(nx: int, ny: int, n_beam: int) -> _FieldPattern:
     unknown = np.full(on_beam.size, -1, dtype=np.int64)
     unknown[free] = np.arange(n_free)
 
-    # each distinct entry lands in K_ff's upper triangle, whose slots are
-    # numbered in (column, row) order with duplicates merged
-    ur, uc = unknown[tri[_DISTINCT_I].T].ravel(), unknown[tri[_DISTINCT_J].T].ravel()
-    in_kff = (ur >= 0) & (uc >= 0)
-    hi, lo = np.maximum(ur, uc)[in_kff], np.minimum(ur, uc)[in_kff]
-    del ur, uc
-    upper, slot = np.unique(hi * n_free + lo, return_inverse=True)
-    del hi, lo
-    kff_slot = np.full(in_kff.size, upper.size, dtype=np.int64)
-    kff_slot[in_kff] = slot
-    del in_kff, slot
-    # K_ff's CSC pattern is that triangle and its mirror image; in it,
-    # each slot holds the number of its upper-triangle slot, plus one
-    col_u, row_u = np.divmod(upper, n_free)
-    marks = sp.csc_matrix((np.arange(1, upper.size + 1), (row_u, col_u)), shape=(n_free, n_free))
-    del col_u, row_u, upper
-    marks = (marks + sp.triu(marks, k=1).T).tocsc()
-
-    # the flux and load terms keep the order of the 9 element entries:
+    # every term's list keeps the order of the 9 element entries:
     # entry 9 t + 3 i + j couples vertex i (its row) and vertex j of triangle t
     vert = tri.T
     free_v, beam_v, top_v = unknown[vert] >= 0, on_beam[vert], on_top[vert]
@@ -224,16 +207,21 @@ def _field_pattern(nx: int, ny: int, n_beam: int) -> _FieldPattern:
         t, ij = np.divmod(np.flatnonzero(mask), 9)
         return 6 * t + _DISTINCT_OF[ij], vert[t, ij // 3], vert[t, ij % 3]
 
+    # K_ff's slots: the int64 keys column * n_free + row, sorted, are in CSC order
+    kff_entries, rows, cols = entries(free_v[:, :, None] & free_v[:, None, :])
+    keys = unknown[cols] * n_free + unknown[rows]
+    del rows, cols
+    csc_keys, kff_slot = np.unique(keys, return_inverse=True)
     rhs_entries, rhs_nodes, _ = entries(free_v[:, :, None] & beam_v[:, None, :])
     beam_entries, _, beam_cols = entries(np.repeat(beam_v, 3, axis=1))
     top_entries, _, top_cols = entries(np.repeat(top_v, 3, axis=1))
     pattern = _FieldPattern(
         tri=tri,
         free=free,
+        kff_entries=kff_entries,
         kff_slot=kff_slot,
-        kff_mirror=marks.data - 1,
-        kff_indices=marks.indices,
-        kff_indptr=marks.indptr,
+        kff_indices=(csc_keys % n_free).astype(np.int32),
+        kff_indptr=np.searchsorted(csc_keys, n_free * np.arange(n_free + 1)).astype(np.int32),
         rhs_entries=rhs_entries,
         rhs_rows=unknown[rhs_nodes],
         beam_entries=beam_entries,
@@ -306,13 +294,11 @@ def solve_field2d(
         / (2.0 * area2)[:, None]
     ).ravel()
 
-    # K_ff's upper triangle straight from the distinct entries, mirrored;
-    # entries outside K_ff land in the extra last bin, which no slot reads
+    # each K_ff slot sums one entry per triangle, in triangle order, as its
+    # mirror slot does, so K_ff is exactly symmetric
     n_free = pat.free.size
-    k_upper = np.bincount(pat.kff_slot, weights=k_entries)
-    k_ff = sp.csc_matrix(
-        (k_upper[pat.kff_mirror], pat.kff_indices, pat.kff_indptr), shape=(n_free, n_free)
-    )
+    k_data = np.bincount(pat.kff_slot, weights=k_entries[pat.kff_entries])
+    k_ff = sp.csc_matrix((k_data, pat.kff_indices, pat.kff_indptr), shape=(n_free, n_free))
     # only the beam face carries a non-zero Dirichlet value
     rhs = -voltage * np.bincount(
         pat.rhs_rows, weights=k_entries[pat.rhs_entries], minlength=n_free

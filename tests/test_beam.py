@@ -335,6 +335,16 @@ class TestRawLapack:
         assert len(history) == 1
         assert np.all(d == 0.0)
 
+    def test_non_finite_tangent_fails_the_newton_solve(self, mesh):
+        # as a singular one does; the banded solve's ValueError escaped before
+        op = beam.LinearBeamOperator(mesh)
+        f_ext = beam.consistent_load_vector(mesh, 0.3)
+        k_load = np.full_like(op.k_band, np.inf)
+        d, history, ok, _ = beam.newton_solve(mesh, lambda d: (f_ext, k_load), linear=op)
+        assert not ok
+        assert len(history) == 1
+        assert np.all(d == 0.0)
+
     def test_nan_input_raises_value_error(self, mesh):
         _, k_band, _ = beam.corotational_internal(mesh, bent_state(mesh, 37, 0.05))
         rhs = np.ones(k_band.shape[1])

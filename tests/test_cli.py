@@ -414,6 +414,29 @@ class TestExitCodes:
             assert run([*argv, "--file", str(corner)]) in (0, 3), argv
             assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ("--load", "plate"),
+        ("--load", "plate", "--coupling", "monolithic"),
+        ("--load", "field2d"),
+        ("--load", "plate", "--model", "linear"),
+    ], ids=["plate", "monolithic", "field2d", "linear"])
+    def test_stiff_corner_names_its_voltage_above_the_cap(self, capsys, tmp_path, argv):
+        # the last corner above: every residual entry is finite, but its square
+        # overflowed the residual norm, so the nonlinear modes reported
+        # "structural divergence" or "newton divergence"
+        corner = tmp_path / "corner.json"
+        corner.write_text(json.dumps({"specimens": [{
+            "id": "x", "length_um": 2e-3, "width_um": 1e-3, "thickness_um": 1e-3,
+            "gap_um": 1e-3, "young_modulus_gpa": 1e291, "poisson_ratio": 0.23,
+            "dimension_source": "nominal",
+        }]}))
+        assert run(["pullin", *argv, "--file", str(corner)]) == 3
+        (line,) = capsys.readouterr().err.splitlines()
+        head, sep, volts = line.rpartition("at a tip deflection of 0.35 gap, ")
+        assert head.startswith("micropull: no pull-in: ") and sep
+        assert volts.endswith(" V")
+        assert 3e145 < float(volts[:-2]) < 4e145
+
     def test_no_pull_in_is_exit_3(self, capsys, tmp_path):
         stiff = tmp_path / "stiff.json"
         stiff.write_text(json.dumps({"specimens": [{

@@ -319,7 +319,12 @@ class TestSweep:
         assert stag.voltage == mono.voltage == 200.0
         assert stag.tip_displacement == pytest.approx(mono.tip_displacement, rel=1e-5)
 
-    @pytest.mark.parametrize("mode,coupling", PLATE_MODES)
+    @pytest.mark.parametrize("mode,coupling", [
+        # the monolithic load stiffness overflows to inf, which fails the Newton solve
+        pytest.param(*mc, marks=pytest.mark.filterwarnings("ignore::RuntimeWarning"))
+        if mc[1] == "monolithic" else mc
+        for mc in PLATE_MODES
+    ])
     def test_overflowing_load_fails_the_first_point(self, st1_1_measured, mode, coupling):
         # the squared residual norm overflowed, and so did its acceptance
         # floor: the unloaded beam came back converged at 0 um
