@@ -19,8 +19,8 @@ The small-displacement model is the same element's tangent at rest: at
 d = 0 the corotational tangent K_t(0) is the classical Euler-Bernoulli
 element plus an EA/l axial chain, with no axial-transverse coupling
 (Crisfield, Non-linear Finite Element Analysis of Solids and Structures,
-vol. 1, 1991, ch. 7).  ``LinearBeamOperator`` factors it once by banded
-Cholesky; the axial DOFs of a linear solve stay exactly zero.
+vol. 1, 1991, ch. 7).  ``LinearBeamOperator`` solves it by the banded LU
+of every Newton step; the axial DOFs of a linear solve stay exactly zero.
 
 Transverse loads are given per unit undeformed length, as values at the
 quadrature points, and keep their direction (transverse to the undeformed
@@ -35,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 from scipy.linalg.blas import dgbmv, dnrm2
-from scipy.linalg.lapack import get_lapack_funcs
+from scipy.linalg.lapack import dgbsv
 
 from .catalog import Specimen
 from .errors import ConvergenceError
@@ -56,9 +56,6 @@ _MAX_LOCAL_ROTATION = 1.4
 _EPS = np.finfo(float).eps
 _HALF_BAND = 5  # of the tangents in band storage
 _BAND_ROWS = 2 * _HALF_BAND + 1
-
-# LAPACK's banded LU solve and banded Cholesky, called without scipy.linalg's wrappers
-_GBSV, _PBTRF, _PBTRS = get_lapack_funcs(("gbsv", "pbtrf", "pbtrs"), dtype=np.float64)
 
 # Corotational element tangent over (u_a, v_a, theta_a, u_b, v_b, theta_b): entry (p, q) is
 # value _BLOCK[p, q] of (A00, A01, A11, 6 EI/l a, 6 EI/l b, 4 EI/l, 2 EI/l) and of the first
@@ -227,23 +224,20 @@ def consistent_load_vector(
 # ----------------------------------------------------------------------
 
 class LinearBeamOperator:
-    """Factorized clamped-cantilever tangent at rest, reusable across load cases.
+    """Clamped-cantilever tangent at rest, reusable across load cases.
 
     ``k_band`` is K_t(0) from ``corotational_internal``, clamped node
-    included; the clamped-reduced part is factored once by banded Cholesky.
+    included, in band storage; ``solve`` is ``solve_clamped_banded`` on it.
     """
 
     def __init__(self, mesh: BeamMesh):
         self.mesh = mesh
         _, self.k_band, _ = corotational_internal(mesh, np.zeros(3 * mesh.n_nodes))
         self.k_band.setflags(write=False)
-        self._factor = _lapack(_PBTRF, self.k_band[: _HALF_BAND + 1, 3:])
 
     def solve(self, f_ext: np.ndarray) -> DeflectionField:
         """Small-displacement solution under the load vector ``f_ext``."""
-        d = np.zeros(3 * self.mesh.n_nodes)
-        d[3:] = _lapack(_PBTRS, self._factor, f_ext[3:])
-        return DeflectionField(self.mesh, d)
+        return DeflectionField(self.mesh, solve_clamped_banded(self.k_band, f_ext))
 
 
 def solve_linear(
@@ -346,27 +340,23 @@ def solve_clamped_banded(k_band: np.ndarray, rhs_full: np.ndarray) -> np.ndarray
     columns from 3 on hold K[3:, 3:] in band storage; the couplings to the
     clamped node left in them sit in the corner LAPACK never references.
     ``rhs_full`` is one right-hand side or one column per right-hand side.
-    ``gbsv`` needs _HALF_BAND more rows above the band for its pivoting fill-in.
+    LAPACK ``gbsv``, called without scipy.linalg's wrappers, needs _HALF_BAND
+    more rows above the band for its pivoting fill-in; the call is checked as
+    scipy.linalg checks it: ValueError on a non-finite argument or an illegal
+    value, LinAlgError on a singular matrix.
     """
-    ab = np.zeros((_BAND_ROWS + _HALF_BAND, k_band.shape[1] - 3), order="F")
-    ab[_HALF_BAND:] = k_band[:, 3:]
-    out = np.zeros_like(rhs_full)
-    out[3:] = _lapack(_GBSV, _HALF_BAND, _HALF_BAND, ab, rhs_full[3:], overwrite_ab=True)
-    return out
-
-
-def _lapack(routine, *args, **options) -> np.ndarray:
-    """The solution or factor of a raw LAPACK call, checked as scipy.linalg checks
-    it: ValueError on a non-finite array argument or an illegal value,
-    LinAlgError on a singular (or not positive definite) matrix."""
-    for a in args:
-        if isinstance(a, np.ndarray) and not np.isfinite(a).all():
-            raise ValueError("array must not contain infs or NaNs")
-    *_, out, info = routine(*args, **options)
+    k, rhs = k_band[:, 3:], rhs_full[3:]
+    if not (np.isfinite(k).all() and np.isfinite(rhs).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    ab = np.zeros((_BAND_ROWS + _HALF_BAND, k.shape[1]), order="F")
+    ab[_HALF_BAND:] = k
+    *_, x, info = dgbsv(_HALF_BAND, _HALF_BAND, ab, rhs, overwrite_ab=True)
     if info > 0:
-        raise np.linalg.LinAlgError(f"singular or not positive definite matrix (LAPACK info {info})")
+        raise np.linalg.LinAlgError(f"singular matrix (gbsv info {info})")
     if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of a LAPACK call")
+        raise ValueError(f"illegal value in argument {-info} of gbsv")
+    out = np.zeros_like(rhs_full)
+    out[3:] = x
     return out
 
 

@@ -203,7 +203,6 @@ class _Runner:
         settles, or with ``tip`` pinned under lam times the load of ``voltage``
         until lam settles; returns (dofs, lam, iterations, failure reason)."""
         omega = 1.0
-        floor = 1e-12 * self.spec.gap_g
         settled = float(d[-2]) if tip is None else math.inf
         step_prev = math.inf
         r_prev: np.ndarray | None = None
@@ -234,7 +233,7 @@ class _Runner:
             if tip is not None and math.isfinite(step_prev) and step < step_prev:
                 rho = step / step_prev
                 est = step * min(1.0, rho / (1.0 - rho))
-            if est <= COUPLING_TOLERANCE * max(abs(now), floor):
+            if est <= COUPLING_TOLERANCE * abs(now):
                 return d, lam, it, None
             settled, step_prev = now, step
         return None, math.nan, MAX_COUPLING_ITERATIONS, "max coupling iterations"
@@ -297,7 +296,7 @@ def _pull_in_search(runner: _Runner) -> PullInResult:
             raise PullInNotFoundError(
                 f"no pull-in found for {spec.id} ({spec.dimension_source}) below "
                 f"{VOLTAGE_CAP:.0f} V: at a tip deflection of {x:.3g} gap, "
-                f"{res.failure_reason or f'{res.voltage:.0f} V'}"
+                f"{res.failure_reason or f'{res.voltage:.6g} V'}"
             )
         solved[x] = res
 
