@@ -16,16 +16,12 @@ from dataclasses import dataclass
 from .catalog import Specimen
 from .constants import VACUUM_PERMITTIVITY
 
-OSTERBERG = "osterberg"
-
-
 @dataclass(frozen=True)
 class PullInEstimate:
     """Pull-in voltage (V) and the deflection (m) at which it occurs."""
 
     voltage: float
     displacement: float
-    method: str
 
     def __post_init__(self) -> None:
         if not self.voltage > 0.0:
@@ -48,7 +44,7 @@ def osterberg_pull_in(spec: Specimen) -> PullInEstimate:
     fringing = 1.0 + 0.42 * g / w
     voltage = math.sqrt(0.28 * g**3 * t**3 * e / (VACUUM_PERMITTIVITY * l**4 * fringing))
     displacement = 0.75 * VACUUM_PERMITTIVITY * l**4 / (e * g**2 * t**3) * voltage**2
-    return PullInEstimate(voltage=voltage, displacement=displacement, method=OSTERBERG)
+    return PullInEstimate(voltage=voltage, displacement=displacement)
 
 
 def osterberg_displacement_identity(spec: Specimen) -> float:

@@ -286,7 +286,7 @@ def _cmd_analytic(args) -> int:
     row = {
         "id": spec.id,
         "dimension_source": spec.dimension_source,
-        "method": estimate.method,
+        "method": "osterberg",
         "pull_in_voltage_V": estimate.voltage,
         "pull_in_displacement_um": estimate.displacement * 1e6,
     }
@@ -298,9 +298,15 @@ def _maybe_dump_field(args, spec, cfg: SolverConfig, voltage: float, state) -> N
     """Write the potential of the reported equilibrium ``state`` at ``voltage``."""
     if not args.dump_field:
         return
-    solution = electro.solve_field2d(spec, state, voltage, cfg.load_model)
+    field = electro.solve_field2d(spec, state, voltage, cfg.load_model)
+    columns = zip(field.grid_x.tolist(), field.grid_y.tolist(), field.potential.tolist())
+    rows = [
+        {"x_um": x * 1e6, "y_um": y * 1e6, "phi_V": phi}
+        for x, ys, phis in columns
+        for y, phi in zip(ys, phis)
+    ]
     with open(args.dump_field, "w", encoding="utf-8", newline="") as fh:
-        electro.dump_field_csv(solution, fh)
+        _write_csv(fh, ("x_um", "y_um", "phi_V"), rows)
 
 
 def _cmd_sweep(args) -> int:

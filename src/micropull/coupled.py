@@ -212,6 +212,8 @@ class _Runner:
                 f_ext = self._load_for(d, voltage)
             except GapClosureError:
                 return None, math.nan, it, "gap closure"
+            except OverflowError:
+                return None, math.nan, it, "load overflow"
             solved, lam = self._structural_solve(f_ext, d, tip)
             if solved is None:
                 return None, math.nan, it, "structural divergence"
@@ -258,6 +260,8 @@ class _Runner:
             d, _, ok, lam = beam.newton_solve(self.mesh, load, d, tip=tip, linear=linear)
         except GapClosureError:
             return None, math.nan, evals, "gap closure"
+        except OverflowError:
+            return None, math.nan, evals, "load overflow"
         return d, lam, evals, None if ok else "newton divergence"
 
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TextIO
 
 import numpy as np
 import scipy.sparse as sp
@@ -105,14 +104,18 @@ def plate_load(spec: Specimen, gap, voltage: float, fringing_coefficient: float)
 
     q = eps0 w V^2 / (2 (g - v)^2) * (1 + f (g - v) / w), attracting the
     beam toward the counter-electrode.  Raises GapClosureError where a gap
-    is closed or not finite; a caller includes the tip's gap to have it
-    checked.
+    is closed or not finite, and OverflowError where the load is not finite;
+    a caller includes the tip's gap to have it checked.
     """
     _check_open(gap)
     w = spec.width_w
-    return 0.5 * VACUUM_PERMITTIVITY * w * voltage**2 / gap**2 * (
-        1.0 + fringing_coefficient * gap / w
-    )
+    with np.errstate(all="ignore"):  # a non-finite load is raised below, not warned about
+        q = 0.5 * VACUUM_PERMITTIVITY * w * voltage**2 / gap**2 * (
+            1.0 + fringing_coefficient * gap / w
+        )
+    if not np.isfinite(q).all():
+        raise OverflowError("plate load is not finite")
+    return q
 
 
 def plate_load_slope(spec: Specimen, gap, voltage: float, fringing_coefficient: float):
@@ -356,15 +359,3 @@ def maxwell_load(field: FieldSolution, spec: Specimen, x) -> np.ndarray:
 def integrated_face_force(field: FieldSolution, spec: Specimen) -> float:
     """Total attractive force per beam (N): trapezoid of the face pressure."""
     return float(np.trapezoid(maxwell_load(field, spec, field.face_x), field.face_x))
-
-
-def dump_field_csv(field: FieldSolution, sink: TextIO) -> None:
-    """Write the potential grid as CSV rows (x_um, y_um, phi_V)."""
-    sink.write("x_um,y_um,phi_V\n")
-    nx1, ny1 = field.potential.shape
-    for i in range(nx1):
-        xi = float(field.grid_x[i]) * 1e6
-        for j in range(ny1):
-            sink.write(
-                f"{xi!r},{float(field.grid_y[i, j]) * 1e6!r},{float(field.potential[i, j])!r}\n"
-            )

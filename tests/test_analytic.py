@@ -16,7 +16,6 @@ class TestOsterberg:
         est = osterberg_pull_in(st1_1_measured)
         assert est.voltage == pytest.approx(179.61, rel=1e-3)
         assert est.displacement == pytest.approx(0.92105e-6, rel=1e-3)
-        assert est.method == "osterberg"
 
     def test_st1_4_measured(self, st1_4_measured):
         est = osterberg_pull_in(st1_4_measured)

@@ -102,7 +102,7 @@ class TestMesh:
     def test_rigidity_from_direct_arithmetic(self, st1_1_measured):
         mesh = build_mesh(st1_1_measured, 20)
         expected = 166e9 * 15e-6 * (1.8e-6) ** 3 / 12.0
-        assert mesh.bending_rigidity == pytest.approx(expected, rel=1e-12)
+        assert mesh.bending_rigidity == pytest.approx(expected, rel=1e-12, abs=0.0)
         assert mesh.bending_rigidity == pytest.approx(1.210e-12, rel=1e-3)
         assert mesh.n_nodes == 21
 
@@ -170,7 +170,7 @@ class TestLinear:
         p = 1e-6
         fld = solve_linear(mesh, tip_force=p)
         exact = p * st1_1_measured.length_l**3 / (3.0 * mesh.bending_rigidity)
-        assert fld.tip == pytest.approx(exact, rel=1e-9)
+        assert fld.tip == pytest.approx(exact, rel=1e-9, abs=0.0)
 
     def test_convergence_with_refinement(self, st1_1_measured):
         # nodal values are exact for polynomial loads (the point-load Green's
@@ -387,6 +387,18 @@ class TestNonlinear:
         moment = 2.0 * math.pi * mesh.bending_rigidity / st1_1_measured.length_l
         fld = solve_nonlinear(mesh, tip_moment=moment)
         assert fld.rotation[-1] == pytest.approx(2.0 * math.pi, rel=1e-2)
+
+    def test_finest_incrementation_is_tried(self, st1_1_measured, monkeypatch):
+        # the elastica's end moment needs 2 load increments: a budget of 2 solves
+        # it, and a budget of 1 does not
+        mesh = build_mesh(st1_1_measured, 40)
+        moment = 2.0 * math.pi * mesh.bending_rigidity / st1_1_measured.length_l
+        monkeypatch.setattr(beam, "LOAD_INCREMENTS", 2)
+        fld = solve_nonlinear(mesh, tip_moment=moment)
+        assert fld.rotation[-1] == pytest.approx(2.0 * math.pi, rel=1e-2)
+        monkeypatch.setattr(beam, "LOAD_INCREMENTS", 1)
+        with pytest.raises(ConvergenceError):
+            solve_nonlinear(mesh, tip_moment=moment)
 
     def test_tip_displacement_bounded_by_length(self, st1_1_measured):
         mesh = build_mesh(st1_1_measured, 40)

@@ -201,6 +201,35 @@ class TestFieldDumpOption:
         assert code == 0
         assert dump.read_text().startswith("x_um,y_um,phi_V")
 
+    def test_every_cell_is_the_exact_field_value(self, capsys, monkeypatch, tmp_path):
+        # one row per grid node, column by column, each cell the float it prints
+        searched, find_pull_in = {}, cli.find_pull_in
+
+        def recording(spec, cfg):
+            searched.update(spec=spec, cfg=cfg, result=find_pull_in(spec, cfg))
+            return searched["result"]
+
+        monkeypatch.setattr(cli, "find_pull_in", recording)
+        dump = tmp_path / "field.csv"
+        code, _ = run_cli(
+            capsys, "pullin", "--id", "ST1-1", "--dims", "measured", "--dump-field", str(dump),
+        )
+        assert code == 0
+        result = searched["result"]
+        field = electro.solve_field2d(
+            searched["spec"], result.deflection, result.bracket_low, searched["cfg"].load_model
+        )
+        header, *lines = dump.read_text().splitlines()
+        assert header == "x_um,y_um,phi_V"
+        nx1, ny1 = field.potential.shape
+        assert len(lines) == nx1 * ny1
+        for k, line in enumerate(lines):
+            i, j = divmod(k, ny1)
+            x, y, phi = line.split(",")
+            assert float(x) == field.grid_x[i] * 1e6
+            assert float(y) == field.grid_y[i, j] * 1e6
+            assert float(phi) == field.potential[i, j]
+
     @pytest.mark.parametrize("command, search", [
         (("pullin",), "find_pull_in"),
         (("sweep", "--vmax", "100", "--steps", "2"), "voltage_sweep"),
@@ -414,6 +443,21 @@ class TestExitCodes:
         ):
             assert run([*argv, "--file", str(corner)]) in (0, 3), argv
             assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ("pullin",),
+        ("pullin", "--coupling", "monolithic"),
+        ("sweep", "--vmax", "100", "--steps", "2"),
+    ], ids=["pullin", "pullin-monolithic", "sweep"])
+    def test_overflowing_fringing_prints_no_traceback(self, capsys, argv):
+        # on ST1-8 (g/w = 26.7) the fringing factor 1 + f (g - v)/w overflows,
+        # and the load vector raised ValueError out of the coupling loop
+        code = run([*argv, "--id", "ST1-8", "--load", "plate", "--fringing", "1e308"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("micropull: no pull-in: ") and line.endswith(", load overflow")
 
     @pytest.mark.parametrize("argv", [
         ("--load", "plate"),

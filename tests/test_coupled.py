@@ -78,6 +78,14 @@ class TestConfig:
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
 
+    def test_fewest_elements_run_a_pull_in(self, st1_1_measured):
+        cfg = SolverConfig(load_model=LoadModelConfig(kind="parallel_plate"), n_elements=4)
+        assert find_pull_in(st1_1_measured, cfg).pull_in_voltage == pytest.approx(
+            179.2356, rel=1e-6
+        )
+        with pytest.raises(ValueError, match="n_elements"):
+            SolverConfig(n_elements=3)
+
 
 class TestEquilibrium:
     def test_zero_voltage_single_iteration(self, st1_1_measured):
@@ -121,7 +129,7 @@ class TestEquilibrium:
             ),
         )
         assert stag.converged and mono.converged
-        assert stag.deflection.tip == pytest.approx(mono.deflection.tip, rel=1e-4)
+        assert stag.deflection.tip == pytest.approx(mono.deflection.tip, rel=1e-4, abs=0.0)
 
     def test_monolithic_linear_mode(self, st1_1_measured):
         cfg_lin_mono = SolverConfig(
@@ -136,7 +144,7 @@ class TestEquilibrium:
         mono = solve_equilibrium(st1_1_measured, 120.0, cfg_lin_mono)
         stag = solve_equilibrium(st1_1_measured, 120.0, cfg_lin_stag)
         assert mono.converged and stag.converged
-        assert mono.deflection.tip == pytest.approx(stag.deflection.tip, rel=1e-4)
+        assert mono.deflection.tip == pytest.approx(stag.deflection.tip, rel=1e-4, abs=0.0)
 
     def test_failure_above_pull_in(self, st1_1_measured):
         res = solve_equilibrium(st1_1_measured, 400.0, PLATE)
@@ -163,6 +171,14 @@ class TestEquilibrium:
         assert res.voltage == 150.0
         assert res.deflection.tip == 0.0
 
+    @pytest.mark.parametrize("budget, converged", [(8, True), (7, False)])
+    def test_budget_includes_its_last_iteration(self, st1_1_measured, monkeypatch,
+                                                budget, converged):
+        # 170 V settles in exactly 8 coupling iterations
+        monkeypatch.setattr(coupled, "MAX_COUPLING_ITERATIONS", budget)
+        res = solve_equilibrium(st1_1_measured, 170.0, PLATE)
+        assert (res.converged, res.iterations) == (converged, budget)
+
     @pytest.mark.parametrize("coupling, module, name, value, reason", [
         ("staggered", coupled, "MAX_COUPLING_ITERATIONS", 1, "max coupling iterations"),
         ("monolithic", beam, "NEWTON_ITERATIONS", 0, "newton divergence"),
@@ -180,7 +196,7 @@ class TestEquilibrium:
         assert not res.converged
         assert res.failure_reason == reason
         assert res.voltage == 2.0
-        assert res.deflection.tip == pytest.approx(tip, rel=1e-15)
+        assert res.deflection.tip == pytest.approx(tip, rel=1e-15, abs=0.0)
         np.testing.assert_allclose(
             res.deflection.dofs, start.dofs * (tip / start.tip), rtol=1e-15, atol=0.0
         )
@@ -225,7 +241,7 @@ class TestSweep:
         for p in coarse.points:
             assert p.voltage in fine_by_voltage
             assert p.tip_displacement == pytest.approx(
-                fine_by_voltage[p.voltage], rel=1e-6
+                fine_by_voltage[p.voltage], rel=1e-6, abs=0.0
             )
 
     def test_sweep_through_pull_in_field2d(self, st1_1_measured):
@@ -317,23 +333,41 @@ class TestSweep:
         )
         assert not stag.converged and not mono.converged
         assert stag.voltage == mono.voltage == 200.0
-        assert stag.tip_displacement == pytest.approx(mono.tip_displacement, rel=1e-5)
+        assert stag.tip_displacement == pytest.approx(mono.tip_displacement, rel=1e-5, abs=0.0)
 
-    @pytest.mark.parametrize("mode,coupling", [
-        # the monolithic load stiffness overflows to inf, which fails the Newton solve
-        pytest.param(*mc, marks=pytest.mark.filterwarnings("ignore::RuntimeWarning"))
-        if mc[1] == "monolithic" else mc
+    @pytest.mark.parametrize("specimen,mode,coupling", [
+        # on ST1-1 the monolithic load stiffness overflows to inf, which fails the Newton solve
+        pytest.param(
+            ("ST1-1", "measured"), *mc, id="-".join(mc),
+            marks=(
+                pytest.mark.filterwarnings("ignore::RuntimeWarning")
+                if mc[1] == "monolithic" else ()
+            ),
+        )
+        for mc in PLATE_MODES
+    ] + [
+        pytest.param(("ST1-8", "nominal"), *mc, id="-".join(("ST1-8", *mc)))
         for mc in PLATE_MODES
     ])
-    def test_overflowing_load_fails_the_first_point(self, st1_1_measured, mode, coupling):
-        # the squared residual norm overflowed, and so did its acceptance
-        # floor: the unloaded beam came back converged at 0 um
+    def test_overflowing_load_fails_the_first_point(self, catalog, specimen, mode, coupling):
+        # measured ST1-1 (g/w = 0.33): the squared residual norm overflowed, and
+        # so did its acceptance floor: the unloaded beam came back converged at 0 um.
+        # nominal ST1-8 (g/w = 26.7): the fringing factor 1 + f (g - v)/w itself
+        # overflows, and the load vector raised ValueError
+        spec = select_specimen(catalog, *specimen)
         cfg = SolverConfig(
             structural_mode=mode,
             load_model=LoadModelConfig(kind="parallel_plate", fringing_coefficient=1e308),
             coupling_mode=coupling,
         )
-        sweep = voltage_sweep(st1_1_measured, 200.0, 2, cfg)
+        if spec.id == "ST1-8":
+            # the load of 1 V overflows as well, so the search fails at its first tip
+            first = solve_equilibrium(spec, 100.0, cfg)
+            assert (first.converged, first.failure_reason) == (False, "load overflow")
+            with pytest.raises(PullInNotFoundError, match=r"0\.35 gap, load overflow$"):
+                voltage_sweep(spec, 200.0, 2, cfg)
+            return
+        sweep = voltage_sweep(spec, 200.0, 2, cfg)
         assert not sweep.points[0].converged
         assert sweep.pull_in is not None
         assert sweep.pull_in.pull_in_voltage < 1e-150
@@ -346,10 +380,11 @@ class TestSweep:
             voltage_sweep(st1_1_measured, 10.0, 1, PLATE)
 
     def test_result_invariants_enforced(self, sweep_point):
-        with pytest.raises(ValueError, match="increasing"):
-            SweepResult(points=(
-                sweep_point(2.0, 0.0, True, 1), sweep_point(1.0, 0.0, True, 1),
-            ))
+        for second in (1.0, 2.0):  # decreasing, then equal
+            with pytest.raises(ValueError, match="increasing"):
+                SweepResult(points=(
+                    sweep_point(2.0, 0.0, True, 1), sweep_point(second, 0.0, True, 1),
+                ))
         with pytest.raises(ValueError, match="precede"):
             SweepResult(points=(
                 sweep_point(1.0, 0.0, False, 1), sweep_point(2.0, 0.0, True, 1),
@@ -523,7 +558,8 @@ class TestSimilarityLaws:
         cfg = replace(cfg, pull_in_bracket_tolerance=v_scale * cfg.pull_in_bracket_tolerance)
         ref, got = reference_pull_ins[name], find_pull_in(spec, cfg)
         for attr in ("bracket_low", "pull_in_voltage", "bracket_high"):
-            assert getattr(got, attr) == pytest.approx(v_scale * getattr(ref, attr), rel=1e-9)
+            expected = v_scale * getattr(ref, attr)
+            assert getattr(got, attr) == pytest.approx(expected, rel=1e-9, abs=0.0)
 
 
 def test_field2d_shift_from_plate_scales_as_gap_over_length(catalog):
@@ -774,7 +810,7 @@ class TestDisplacementControl:
         # a voltage-controlled solve from that state stays on it
         res = _Runner(st1_1_measured, PLATE).equilibrium(r.bracket_low, start=r.deflection)
         assert res.converged
-        assert res.deflection.tip == pytest.approx(r.tip_displacement, rel=1e-4)
+        assert res.deflection.tip == pytest.approx(r.tip_displacement, rel=1e-4, abs=0.0)
 
     @pytest.mark.parametrize("mode", ["linear", "nonlinear"])
     def test_catalog_staggered_agrees_with_monolithic(self, catalog_plate_pull_ins, mode):

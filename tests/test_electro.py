@@ -1,7 +1,5 @@
 """Electrostatic load models: plate formula, 2D field solve, pressure extraction."""
 
-import io
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -24,7 +22,6 @@ from micropull.electro import (
     FACE_PROBE_FRACTION,
     TIP_EXTENSION_GAPS,
     _field_pattern,
-    dump_field_csv,
     integrated_face_force,
     plate_load_slope,
 )
@@ -489,15 +486,3 @@ class TestMaxwellLoad:
         beyond = np.array([s.length_l * 1.01, s.length_l + s.gap_g])
         assert np.all(maxwell_load(fs, s, beyond) == 0.0)
 
-
-class TestFieldDump:
-    def test_csv_shape_and_header(self, st1_1_measured):
-        fs = solve_field2d(st1_1_measured, None, 10.0, LoadModelConfig())
-        sink = io.StringIO()
-        dump_field_csv(fs, sink)
-        lines = sink.getvalue().strip().split("\n")
-        assert lines[0] == "x_um,y_um,phi_V"
-        nx1, ny1 = fs.potential.shape
-        assert len(lines) == 1 + nx1 * ny1
-        x, y, phi = (float(v) for v in lines[1].split(","))
-        assert phi == pytest.approx(10.0)
