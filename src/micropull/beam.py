@@ -157,11 +157,6 @@ class DeflectionField:
         return float(self.dofs[-2])
 
 
-def zero_field(mesh: BeamMesh) -> DeflectionField:
-    """The undeformed configuration."""
-    return DeflectionField(mesh, np.zeros(3 * mesh.n_nodes))
-
-
 def _hermite_basis(xi: np.ndarray, length: float):
     """Cubic transverse shape functions on [0, 1] (rotation DOFs carry L)."""
     xi2 = xi * xi

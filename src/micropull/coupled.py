@@ -24,8 +24,8 @@ models are V^2 times their 1 V load, so lam = V^2 is the one extra unknown
 of a structural solve with the tip pinned, bordered as in Keller (1977).
 A prescribed tip has an equilibrium on both sides of the fold, so no solve
 runs where none exists, and the result does not depend on an iteration
-budget.  Voltage sweeps stay voltage-controlled, each point starting from
-the previous one scaled by the ratio of the squared voltages.  Nothing is
+budget.  Voltage sweeps stay voltage-controlled.  Every solve starts from the
+nearest solved state, scaled by ``_Runner.equilibrium``, and nothing is
 retried: every equilibrium is one coupling loop or one Newton solve from its
 start.
 """
@@ -172,20 +172,27 @@ class _Runner:
     # -- equilibrium -------------------------------------------------------
 
     def equilibrium(
-        self, voltage: float, start: beam.DeflectionField | None = None, tip: float | None = None
+        self, voltage: float, near: EquilibriumResult | None = None, tip: float | None = None
     ) -> EquilibriumResult:
-        """Equilibrium at ``voltage`` from ``start`` (undeformed if None), or at
-        a prescribed ``tip``, V = voltage sqrt(lam) unknown, ``start`` scaled to it."""
-        if start is None:
-            start = beam.zero_field(self.mesh)
-        elif tip is not None and start.tip > 0.0:
-            start = beam.DeflectionField(self.mesh, start.dofs * (tip / start.tip))
+        """Equilibrium at ``voltage``, or at a prescribed ``tip`` with V = voltage sqrt(lam)
+        unknown.  It starts from ``near``, the nearest solved state, scaled to the tip or by
+        (V / near.voltage)^2 unless that tip would not lie inside the gap; without ``near``,
+        at rest or from the linear shape under a uniform load scaled to the tip."""
+        d = np.zeros(3 * self.mesh.n_nodes) if near is None else near.deflection.dofs
+        if tip is not None:
+            if near is None:
+                d = self.linear_op.solve(beam.consistent_load_vector(self.mesh, 1.0)).dofs
+            d = d * (tip / d[-2])
+        elif near is not None:
+            scaled = d * (voltage / near.voltage) ** 2
+            d = scaled if scaled[-2] < self.spec.gap_g else d
         solve = self._staggered if self.cfg.coupling_mode == STAGGERED else self._monolithic
-        dofs, lam, iterations, reason = solve(voltage, start.dofs, tip)
-        if reason is not None:
-            return EquilibriumResult(start, False, iterations, voltage, reason)
+        dofs, lam, iterations, reason = solve(voltage, d, tip)
+        if reason is not None:  # a failure reports its start, at the voltage it was given
+            dofs, lam = d, 1.0
         found = voltage * math.sqrt(max(lam, 0.0))  # lam is 1 at a voltage
-        return EquilibriumResult(beam.DeflectionField(self.mesh, dofs), True, iterations, found)
+        field = beam.DeflectionField(self.mesh, dofs)
+        return EquilibriumResult(field, reason is None, iterations, found, reason)
 
     def _structural_solve(self, f_ext: np.ndarray, warm: np.ndarray, tip: float | None = None):
         """Solve under the load vector ``f_ext``, or with ``tip`` under lam times
@@ -279,8 +286,7 @@ def _pull_in_search(runner: _Runner) -> PullInResult:
     """Maximise V over the prescribed tip x (in gaps), giving up above ``VOLTAGE_CAP``.
 
     Successive parabolic interpolation through the three highest solved
-    points, from x = 0.35, 0.45 and 0.55; each solve starts from the nearest
-    solved state, the first from the linear shape under a uniform load.  It
+    points, from x = 0.35, 0.45 and 0.55, each solved from the nearest one.  It
     stops once the parabola predicts a gain under a quarter of the tolerance:
     that bounds bracket_high.  bracket_low is a solved point left of the
     highest, so on the stable branch.
@@ -291,11 +297,7 @@ def _pull_in_search(runner: _Runner) -> PullInResult:
 
     def solve_at(x: float) -> None:
         near = min(solved, key=lambda t: abs(t - x), default=None)
-        if near is None:  # the linear shape under a uniform load
-            start = runner.linear_op.solve(beam.consistent_load_vector(runner.mesh, 1.0))
-        else:
-            start = solved[near].deflection
-        res = runner.equilibrium(1.0, start, x * spec.gap_g)
+        res = runner.equilibrium(1.0, solved.get(near), x * spec.gap_g)
         if not res.converged or res.voltage > VOLTAGE_CAP:
             raise PullInNotFoundError(
                 f"no pull-in found for {spec.id} ({spec.dimension_source}) below "
@@ -359,11 +361,9 @@ def voltage_sweep(
     """The equilibria at n_steps equally spaced voltages up to v_max (at most
     ``VOLTAGE_CAP``), one ``EquilibriumResult`` per voltage.
 
-    The first point starts at rest, each later one from the previous
-    solution scaled by (V_k / V_{k-1})^2, or unscaled where that tip would not
-    lie inside the gap.  The sweep stops at the first non-converged point and
-    then adds the PullInResult of ``find_pull_in``'s search, which gives up
-    above ``VOLTAGE_CAP`` like every other.
+    Each point is solved from the previous one.  The sweep stops at the first
+    non-converged point and then adds the PullInResult of ``find_pull_in``'s
+    search, which gives up above ``VOLTAGE_CAP`` like every other.
     """
     if not 0.0 < v_max <= VOLTAGE_CAP:
         raise ValueError(f"v_max must lie in (0, {VOLTAGE_CAP:.0f}] V (got {v_max})")
@@ -374,13 +374,7 @@ def voltage_sweep(
 
     points: list[EquilibriumResult] = []
     for k in range(1, n_steps + 1):
-        v = v_max * k / n_steps
-        start = None
-        if points:  # the load scales as V^2: extrapolate, unless that reaches the electrode
-            prev = points[-1].deflection
-            scaled = beam.DeflectionField(runner.mesh, prev.dofs * (v / points[-1].voltage) ** 2)
-            start = scaled if scaled.tip < spec.gap_g else prev
-        points.append(runner.equilibrium(v, start=start))
+        points.append(runner.equilibrium(v_max * k / n_steps, points[-1] if points else None))
         if not points[-1].converged:
             return SweepResult(tuple(points), _pull_in_search(runner))
     return SweepResult(tuple(points))

@@ -120,11 +120,16 @@ def plate_load(spec: Specimen, gap, voltage: float, fringing_coefficient: float)
 
 def plate_load_slope(spec: Specimen, gap, voltage: float, fringing_coefficient: float):
     """d q / d v of ``plate_load`` on the same open gaps g - v:
-    eps0 w V^2 / (g - v)^3 * (1 + f (g - v) / (2 w))."""
+    eps0 w V^2 / (g - v)^3 * (1 + f (g - v) / (2 w)).  Raises OverflowError
+    where the slope is not finite."""
     w = spec.width_w
-    return VACUUM_PERMITTIVITY * w * voltage**2 / gap**3 * (
-        1.0 + 0.5 * fringing_coefficient * gap / w
-    )
+    with np.errstate(all="ignore"):  # a non-finite slope is raised below, not warned about
+        slope = VACUUM_PERMITTIVITY * w * voltage**2 / gap**3 * (
+            1.0 + 0.5 * fringing_coefficient * gap / w
+        )
+    if not np.isfinite(slope).all():
+        raise OverflowError("plate load slope is not finite")
+    return slope
 
 
 # a symmetric 3 x 3 element matrix has 6 distinct entries (i <= j);

@@ -459,6 +459,20 @@ class TestExitCodes:
         (line,) = captured.err.splitlines()
         assert line.startswith("micropull: no pull-in: ") and line.endswith(", load overflow")
 
+    def test_overflowing_load_slope_prints_nothing_to_stderr(self, capsys):
+        # on measured ST1-1 the monolithic load stiffness overflows at 100 V,
+        # which printed numpy's overflow warning and its source line
+        code = run([
+            "sweep", "--id", "ST1-1", "--dims", "measured", "--load", "plate",
+            "--coupling", "monolithic", "--fringing", "1e308", "--vmax", "200", "--steps", "2",
+        ])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.out.splitlines()[1:] == [
+            "100.0,0,false,1", "# pull_in_V=4.2779981068270175e-152",
+        ]
+        assert captured.err == ""
+
     @pytest.mark.parametrize("argv", [
         ("--load", "plate"),
         ("--load", "plate", "--coupling", "monolithic"),

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from micropull import (
+    EquilibriumResult,
     LoadModelConfig,
     Material,
     PullInNotFoundError,
@@ -192,7 +193,7 @@ class TestEquilibrium:
         runner = _Runner(st1_1_measured, replace(PLATE, coupling_mode=coupling))
         start = runner.linear_op.solve(beam.consistent_load_vector(runner.mesh, 1.0))
         tip = 0.5 * st1_1_measured.gap_g
-        res = runner.equilibrium(2.0, start, tip)
+        res = runner.equilibrium(2.0, None, tip)  # from the linear shape
         assert not res.converged
         assert res.failure_reason == reason
         assert res.voltage == 2.0
@@ -204,12 +205,12 @@ class TestEquilibrium:
     @pytest.mark.parametrize("model", ["linear", "nonlinear"])
     def test_monolithic_gap_closure_reports_start(self, st1_1_measured, model):
         # 60 V from a state bent to 0.9 gap, far above its equilibrium voltage:
-        # the first Newton step closes the gap and the failure reports the start
+        # the first Newton step closes the gap and the failure reports the start,
+        # unscaled, as the state is given at 60 V
         runner = _Runner(st1_1_measured, replace(PLATE_MONO, structural_mode=model))
-        shape = runner.linear_op.solve(beam.consistent_load_vector(runner.mesh, 1.0))
-        bent = runner.equilibrium(1.0, shape, 0.9 * st1_1_measured.gap_g)
+        bent = runner.equilibrium(1.0, None, 0.9 * st1_1_measured.gap_g)
         assert bent.converged
-        res = runner.equilibrium(60.0, start=bent.deflection)
+        res = runner.equilibrium(60.0, replace(bent, voltage=60.0))
         assert not res.converged
         assert res.failure_reason == "gap closure"
         assert res.iterations == 2
@@ -299,8 +300,8 @@ class TestSweep:
         solved = []
         equilibrium = _Runner.equilibrium
 
-        def recording(self, voltage, start=None, tip=None):
-            res = equilibrium(self, voltage, start, tip)
+        def recording(self, voltage, near=None, tip=None):
+            res = equilibrium(self, voltage, near, tip)
             if tip is None:  # not a solve of the pull-in search
                 solved.append(res)
             return res
@@ -336,15 +337,7 @@ class TestSweep:
         assert stag.tip_displacement == pytest.approx(mono.tip_displacement, rel=1e-5, abs=0.0)
 
     @pytest.mark.parametrize("specimen,mode,coupling", [
-        # on ST1-1 the monolithic load stiffness overflows to inf, which fails the Newton solve
-        pytest.param(
-            ("ST1-1", "measured"), *mc, id="-".join(mc),
-            marks=(
-                pytest.mark.filterwarnings("ignore::RuntimeWarning")
-                if mc[1] == "monolithic" else ()
-            ),
-        )
-        for mc in PLATE_MODES
+        pytest.param(("ST1-1", "measured"), *mc, id="-".join(mc)) for mc in PLATE_MODES
     ] + [
         pytest.param(("ST1-8", "nominal"), *mc, id="-".join(("ST1-8", *mc)))
         for mc in PLATE_MODES
@@ -369,6 +362,10 @@ class TestSweep:
             return
         sweep = voltage_sweep(spec, 200.0, 2, cfg)
         assert not sweep.points[0].converged
+        if coupling == "monolithic":
+            # the load stiffness overflows: it failed the Newton solve as
+            # "newton divergence", with a RuntimeWarning
+            assert sweep.points[0].failure_reason == "load overflow"
         assert sweep.pull_in is not None
         assert sweep.pull_in.pull_in_voltage < 1e-150
 
@@ -657,8 +654,7 @@ class TestAitkenRelaxation:
         # load-and-solve pass at the same tip barely moves lam = V^2
         runner = _Runner(st1_1_measured, cfg)
         tip = x * st1_1_measured.gap_g
-        uniform = beam.consistent_load_vector(runner.mesh, 1.0)
-        res = runner.equilibrium(1.0, runner.linear_op.solve(uniform), tip)
+        res = runner.equilibrium(1.0, None, tip)  # from the linear shape
         assert res.converged
         _, lam = runner._structural_solve(
             runner._load_for(res.deflection.dofs, 1.0), res.deflection.dofs, tip
@@ -795,7 +791,8 @@ class TestDisplacementControl:
         # and reaches above bracket_low
         runner = _Runner(st1_1_measured, PLATE)
         gap = st1_1_measured.gap_g
-        start = plate_pull_in.deflection
+        r = plate_pull_in
+        start = EquilibriumResult(r.deflection, True, 0, r.bracket_low)
         volts = []
         for x in np.linspace(0.40, 0.52, 25):
             res = runner.equilibrium(1.0, start, x * gap)
@@ -808,7 +805,8 @@ class TestDisplacementControl:
         r = plate_pull_in
         assert r.deflection.tip == r.tip_displacement
         # a voltage-controlled solve from that state stays on it
-        res = _Runner(st1_1_measured, PLATE).equilibrium(r.bracket_low, start=r.deflection)
+        start = EquilibriumResult(r.deflection, True, 0, r.bracket_low)
+        res = _Runner(st1_1_measured, PLATE).equilibrium(r.bracket_low, start)
         assert res.converged
         assert res.deflection.tip == pytest.approx(r.tip_displacement, rel=1e-4, abs=0.0)
 
@@ -879,8 +877,8 @@ def _failure_reasons(spec, cfg, pull_in_v):
     sweep = []
     equilibrium = _Runner.equilibrium
 
-    def recording(self, voltage, start=None, tip=None):
-        res = equilibrium(self, voltage, start, tip)
+    def recording(self, voltage, near=None, tip=None):
+        res = equilibrium(self, voltage, near, tip)
         if tip is None:  # not a solve of the pull-in search
             sweep.append(res.failure_reason)
         return res

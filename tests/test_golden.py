@@ -11,8 +11,9 @@ change of output is intended and explained):
     PYTHONPATH=src python tests/test_golden.py
 
 To run every case through a command instead, such as the installed console
-script; it exits 1 and names each case whose exit code is not 0 or whose
-output differs, with the first line where output and golden differ:
+script; it exits 1 and names each case whose exit code is not 0, that writes
+to standard error (with its first line there), or whose output differs (with
+the first line where output and golden differ):
 
     python tests/test_golden.py --check micropull
 """
@@ -115,6 +116,9 @@ if __name__ == "__main__":
         proc = subprocess.run([*shlex.split(cmd), *argv], capture_output=True)
         if proc.returncode != 0:
             return f"exit code {proc.returncode}"
+        if proc.stderr:
+            first = proc.stderr.decode("utf-8", "replace").splitlines()[0]
+            return f"stderr: {first!r}"
         golden = _golden(name).read_text(encoding="utf-8").splitlines(keepends=True)
         output = proc.stdout.decode("utf-8", "replace").splitlines(keepends=True)
         pairs = itertools.zip_longest(golden, output, fillvalue="<end>")
