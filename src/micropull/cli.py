@@ -316,8 +316,9 @@ def _cmd_sweep(args) -> int:
     result = voltage_sweep(spec, args.vmax, args.steps, cfg)
     _emit(args, lambda sink: emit_sweep_csv(result, sink), _sweep_json_obj(result))
     converged = result.converged_points()
-    if converged:
-        _maybe_dump_field(args, spec, cfg, converged[-1].voltage, converged[-1].deflection)
+    last = converged[-1] if converged else result.pull_in  # pullin's state if none converged
+    voltage = last.voltage if converged else last.bracket_low
+    _maybe_dump_field(args, spec, cfg, voltage, last.deflection)
     return EXIT_OK
 
 

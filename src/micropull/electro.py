@@ -15,7 +15,7 @@ between the deformed beam face and the fixed counter-electrode face), so
 repeated coupled iterations cannot accumulate mesh distortion.  What depends
 only on the mesh size (nx, ny, n_beam) is cached once per size: the triangle
 topology, the Dirichlet split, a low-fill order of the unknowns and the
-reduced matrix's pattern, with a map that scatters element entries into it.
+reduced matrix's pattern, with the sums that give its data and right-hand side.
 The reduced matrix is symmetric positive definite but, on a bent grid, not
 an M-matrix (some off-diagonal entries are positive), so the discrete maximum
 principle is not guaranteed; it is a property the tests check on bent beams.
@@ -148,17 +148,17 @@ class _FieldPattern:
     vertices ``tri[:, t]``.  Distinct entry d of the flattened (n_tri, 6)
     element entries is entry (_DISTINCT_I[d % 6], _DISTINCT_J[d % 6]) of
     triangle d // 6.  The unknowns are the free nodes in nested-dissection order.
-    The maps numpy reads stay intp: it would cast int32 ones back on every solve.
+    A 0/1 CSR sum adds a row's distinct entries in triangle order: a matvec sums
+    a row in stored order, its sorted columns.  The maps numpy reads stay intp:
+    it would cast int32 ones back on every solve.
     """
 
     tri: np.ndarray  # (3, n_tri) node ids
     free: np.ndarray  # node id of each unknown
-    kff_entries: np.ndarray  # distinct entries coupling two free nodes
-    kff_slot: np.ndarray  # their slot in K_ff's CSC data
+    kff_sum: sp.csr_matrix  # row s sums the distinct entries of K_ff's CSC data slot s
     kff_indices: np.ndarray  # K_ff CSC row indices, int32 as scipy keeps them
     kff_indptr: np.ndarray  # K_ff CSC column pointers, int32
-    rhs_entries: np.ndarray  # distinct entries coupling a free row to a beam-face column
-    rhs_rows: np.ndarray  # their unknown index
+    rhs_sum: sp.csr_matrix  # row r sums those coupling unknown r to a beam-face node
     beam_entries: np.ndarray  # distinct entries in a beam-face row
     beam_cols: np.ndarray  # their column node id
     top_entries: np.ndarray  # distinct entries in a counter-electrode row
@@ -215,6 +215,9 @@ def _field_pattern(nx: int, ny: int, n_beam: int) -> _FieldPattern:
         t, ij = np.divmod(np.flatnonzero(mask), 9)
         return 6 * t + _DISTINCT_OF[ij], vert[t, ij // 3], vert[t, ij % 3]
 
+    def summing(rows, distinct, n_rows):  # row rows[k] sums distinct entry distinct[k]
+        return sp.csr_matrix((np.ones(rows.size), (rows, distinct)), (n_rows, 6 * tri.shape[1]))
+
     # K_ff's slots: the int64 keys column * n_free + row, sorted, are in CSC order
     kff_entries, rows, cols = entries(free_v[:, :, None] & free_v[:, None, :])
     keys = unknown[cols] * n_free + unknown[rows]
@@ -226,19 +229,18 @@ def _field_pattern(nx: int, ny: int, n_beam: int) -> _FieldPattern:
     pattern = _FieldPattern(
         tri=tri,
         free=free,
-        kff_entries=kff_entries,
-        kff_slot=kff_slot,
+        kff_sum=summing(kff_slot, kff_entries, csc_keys.size),
         kff_indices=(csc_keys % n_free).astype(np.int32),
         kff_indptr=np.searchsorted(csc_keys, n_free * np.arange(n_free + 1)).astype(np.int32),
-        rhs_entries=rhs_entries,
-        rhs_rows=unknown[rhs_nodes],
+        rhs_sum=summing(unknown[rhs_nodes], rhs_entries, n_free),
         beam_entries=beam_entries,
         beam_cols=beam_cols,
         top_entries=top_entries,
         top_cols=top_cols,
     )
     for arr in vars(pattern).values():
-        arr.setflags(write=False)
+        for a in (arr.data, arr.indices, arr.indptr) if sp.issparse(arr) else (arr,):
+            a.setflags(write=False)
     return pattern
 
 
@@ -305,12 +307,12 @@ def solve_field2d(
     # each K_ff slot sums one entry per triangle, in triangle order, as its
     # mirror slot does, so K_ff is exactly symmetric
     n_free = pat.free.size
-    k_data = np.bincount(pat.kff_slot, weights=k_entries[pat.kff_entries])
+    k_data = pat.kff_sum @ k_entries
     k_ff = sp.csc_matrix((k_data, pat.kff_indices, pat.kff_indptr), shape=(n_free, n_free))
     # only the beam face carries a non-zero Dirichlet value
-    rhs = -voltage * np.bincount(
-        pat.rhs_rows, weights=k_entries[pat.rhs_entries], minlength=n_free
-    )
+    rhs = -voltage * (pat.rhs_sum @ k_entries)
+    beam_weights, top_weights = k_entries[pat.beam_entries], k_entries[pat.top_entries]
+    del px, py, b, c, area2, k_entries  # SuperLU's factor is the peak: free them first
 
     phi_grid = np.zeros((nx + 1, ny + 1))
     phi_grid[: n_beam + 1, 0] = voltage
@@ -321,8 +323,8 @@ def solve_field2d(
     # consistent nodal fluxes: (K phi) at a Dirichlet node integrates
     # d(phi)/dn over that node's share of the electrode boundary; summed
     # they balance between the electrodes exactly
-    beam_charge = VACUUM_PERMITTIVITY * float(k_entries[pat.beam_entries] @ phi[pat.beam_cols])
-    counter_charge = VACUUM_PERMITTIVITY * float(k_entries[pat.top_entries] @ phi[pat.top_cols])
+    beam_charge = VACUUM_PERMITTIVITY * float(beam_weights @ phi[pat.beam_cols])
+    counter_charge = VACUUM_PERMITTIVITY * float(top_weights @ phi[pat.top_cols])
 
     # normal-field trace: potential drop over a fixed fraction of the local
     # gap, interpolated along each column (exact for a gap-wise linear field)

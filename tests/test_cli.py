@@ -191,6 +191,20 @@ class TestBandCommand:
         assert code == 2
 
 
+def _assert_dump_is_field(dump, field):
+    """One row per grid node, column by column, each cell the float it prints."""
+    header, *lines = dump.read_text().splitlines()
+    assert header == "x_um,y_um,phi_V"
+    nx1, ny1 = field.potential.shape
+    assert len(lines) == nx1 * ny1
+    for k, line in enumerate(lines):
+        i, j = divmod(k, ny1)
+        x, y, phi = line.split(",")
+        assert float(x) == field.grid_x[i] * 1e6
+        assert float(y) == field.grid_y[i, j] * 1e6
+        assert float(phi) == field.potential[i, j]
+
+
 class TestFieldDumpOption:
     def test_dump_written(self, capsys, tmp_path):
         dump = tmp_path / "field.csv"
@@ -202,7 +216,6 @@ class TestFieldDumpOption:
         assert dump.read_text().startswith("x_um,y_um,phi_V")
 
     def test_every_cell_is_the_exact_field_value(self, capsys, monkeypatch, tmp_path):
-        # one row per grid node, column by column, each cell the float it prints
         searched, find_pull_in = {}, cli.find_pull_in
 
         def recording(spec, cfg):
@@ -216,19 +229,35 @@ class TestFieldDumpOption:
         )
         assert code == 0
         result = searched["result"]
-        field = electro.solve_field2d(
+        _assert_dump_is_field(dump, electro.solve_field2d(
             searched["spec"], result.deflection, result.bracket_low, searched["cfg"].load_model
+        ))
+
+    def test_sweep_failing_at_its_first_point_dumps_the_pull_in_state(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        # with no converged point the dump is of the state pullin writes;
+        # it used to write nothing, leaving an earlier file at the path standing
+        swept, voltage_sweep = {}, cli.voltage_sweep
+
+        def recording(spec, v_max, n_steps, cfg):
+            swept.update(spec=spec, cfg=cfg, result=voltage_sweep(spec, v_max, n_steps, cfg))
+            return swept["result"]
+
+        monkeypatch.setattr(cli, "voltage_sweep", recording)
+        dump = tmp_path / "field.csv"
+        dump.write_text("stale\n")
+        code, out = run_cli(
+            capsys, "sweep", "--id", "ST1-1", "--dims", "measured",
+            "--vmax", "500", "--steps", "2", "--dump-field", str(dump),
         )
-        header, *lines = dump.read_text().splitlines()
-        assert header == "x_um,y_um,phi_V"
-        nx1, ny1 = field.potential.shape
-        assert len(lines) == nx1 * ny1
-        for k, line in enumerate(lines):
-            i, j = divmod(k, ny1)
-            x, y, phi = line.split(",")
-            assert float(x) == field.grid_x[i] * 1e6
-            assert float(y) == field.grid_y[i, j] * 1e6
-            assert float(phi) == field.potential[i, j]
+        assert code == 0
+        assert swept["result"].converged_points() == ()
+        assert "# pull_in_V=" in out
+        pull_in = swept["result"].pull_in
+        _assert_dump_is_field(dump, electro.solve_field2d(
+            swept["spec"], pull_in.deflection, pull_in.bracket_low, swept["cfg"].load_model
+        ))
 
     @pytest.mark.parametrize("command, search", [
         (("pullin",), "find_pull_in"),

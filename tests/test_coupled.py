@@ -764,6 +764,23 @@ def _counting(monkeypatch, owner, name):
     return calls
 
 
+def _bordered_slope(spec, cfg, dofs, lam):
+    """lam' = g / b_tip in V^2 per gap at the plate-load equilibrium ``dofs`` under
+    lam times the 1 V load, from J b = f(1 V) with J = K_t - lam K_load."""
+    mesh = build_mesh(spec, cfg.n_elements)
+    g_mat, weights, stiffness = beam.transverse_load_operators(mesh)
+    fringing = cfg.load_model.fringing_coefficient
+    gaps = spec.gap_g - g_mat @ dofs
+    f_1v = beam.consistent_load_vector(mesh, plate_load(spec, gaps, 1.0, fringing))
+    k_load = stiffness(weights * electro.plate_load_slope(spec, gaps, 1.0, fringing))
+    if cfg.structural_mode == "linear":
+        k_t = beam.LinearBeamOperator(mesh).k_band
+    else:
+        k_t = beam.corotational_internal(mesh, dofs)[1]
+    b = beam.solve_clamped_banded(k_t - lam * k_load, f_1v)
+    return spec.gap_g / b[-2]
+
+
 @pytest.fixture(scope="module")
 def catalog_plate_pull_ins(catalog):
     """Plate-load pull-ins of every catalog specimen by (label, mode, coupling)."""
@@ -809,6 +826,26 @@ class TestDisplacementControl:
         res = _Runner(st1_1_measured, PLATE).equilibrium(r.bracket_low, start)
         assert res.converged
         assert res.deflection.tip == pytest.approx(r.tip_displacement, rel=1e-4, abs=0.0)
+
+    def test_bordered_slope_certifies_every_catalog_bracket(
+        self, catalog, catalog_plate_pull_ins
+    ):
+        # lam' = dlam/d(tip) changes sign at the fold (Keller 1977): positive
+        # at bracket_low's state, negative at a converged tip 5 % beyond it
+        # (0.55 g is still left of the fold on ST1-7 and ST1-8, whose
+        # bracket_low tips are 0.59-0.66 g)
+        for spec in catalog:
+            for mode, coupling in PLATE_MODES:
+                label = f"{spec.id} {spec.dimension_source} {mode} {coupling}"
+                cfg = _plate_config(mode, coupling)
+                r = catalog_plate_pull_ins[f"{spec.id} {spec.dimension_source}", mode, coupling]
+                assert _bordered_slope(spec, cfg, r.deflection.dofs, r.bracket_low**2) > 0.0, label
+                start = EquilibriumResult(r.deflection, True, 0, r.bracket_low)
+                right = _Runner(spec, cfg).equilibrium(1.0, start, 1.05 * r.tip_displacement)
+                assert right.converged, label
+                assert right.voltage < r.bracket_high, label
+                lam = right.voltage**2
+                assert _bordered_slope(spec, cfg, right.deflection.dofs, lam) < 0.0, label
 
     @pytest.mark.parametrize("mode", ["linear", "nonlinear"])
     def test_catalog_staggered_agrees_with_monolithic(self, catalog_plate_pull_ins, mode):

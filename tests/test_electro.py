@@ -1,5 +1,7 @@
 """Electrostatic load models: plate formula, 2D field solve, pressure extraction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -407,6 +409,47 @@ class TestFieldOrdering:
         s = st1_1_measured
         k_ff, _ = captured_kff(s, bent(s, 0.9), 100.0, cfg, monkeypatch)
         assert (k_ff != k_ff.T).nnz == 0
+
+
+class TestFieldSolveMemory:
+    """What a field solve keeps alive, and what its cache lets be written."""
+
+    @DEFAULT_AND_CRITERION_9_MESHES
+    def test_only_kff_is_alive_while_superlu_factors(self, st1_1_measured, cfg, monkeypatch):
+        # the mesh geometry and element entries (4.5 times K_ff's arrays)
+        # are freed before the factorization, SuperLU's peak
+        s = st1_1_measured
+        deflection = bent(s, 0.45)
+        solve_field2d(s, deflection, 100.0, cfg)  # fills the pattern cache
+        seen = {}
+        inner = spla.spsolve
+
+        def spsolve(a, b, **kwargs):
+            seen["live"] = tracemalloc.get_traced_memory()[0]
+            seen["kff"] = a.data.nbytes + a.indices.nbytes + a.indptr.nbytes
+            return inner(a, b, **kwargs)
+
+        monkeypatch.setattr(electro.spla, "spsolve", spsolve)
+        tracemalloc.start()
+        try:
+            solve_field2d(s, deflection, 100.0, cfg)
+        finally:
+            tracemalloc.stop()
+        assert seen["live"] <= 1.5 * seen["kff"]
+
+    def test_cached_pattern_is_read_only(self, st1_1_measured):
+        fs = solve_field2d(st1_1_measured, None, 1.0, LoadModelConfig())
+        nx, ny = fs.grid_x.size - 1, fs.grid_y.shape[1] - 1
+        pattern = _field_pattern(nx, ny, LoadModelConfig().cells_along_beam)
+        arrays = []
+        for name, value in vars(pattern).items():
+            if sp.issparse(value):
+                arrays += [(f"{name}.{a}", getattr(value, a)) for a in ("data", "indices", "indptr")]
+            else:
+                arrays.append((name, value))
+        assert {name for name, _ in arrays} >= {"kff_sum.data", "rhs_sum.indptr", "free"}
+        for name, arr in arrays:
+            assert not arr.flags.writeable, name
 
 
 def closed_form_potential(spec, voltage, x, y):
